@@ -4,7 +4,7 @@
 Three sweeps on the familiar bright pulse (family u6, b = 3), each
 printing an error table:
 
-  * spatial: the banded fourth-order scheme at N = 64..512 with the
+  * spatial: the fourth-order (fd4) scheme at N = 64..512 with the
     time step held small, exposing the expected order ~4;
   * temporal: the spectral scheme at N = 512 under time-step halving —
     the error does NOT move, showing the Runge-Kutta contribution sits
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     instance = FamilyInstance("u6", 3.0, {})
 
-    print("== spatial refinement, banded scheme (L = 40, dt = 2.5e-4) ==")
+    print("== spatial refinement, fd4 scheme (L = 40, dt = 2.5e-4) ==")
     sweep(instance, [
         (f"N = {n}", Grid(n, 40.0),
          SimConfig(b=3.0, dt=2.5e-4, t_final=args.t_final, scheme="fd4"))

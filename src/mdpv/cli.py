@@ -12,7 +12,8 @@ Every invocation resolves to a run manifest (command, seed, tool
 version, resolved parameters, output paths) embedded in any JSON
 report it emits.  Reports are deterministic: identical manifests give
 byte-identical documents.  JSON keys appear in fixed order and floats
-carry 17 significant digits; CSV files use shortest round-trip floats.
+carry 17 significant digits; a non-finite measured residual or scale
+is written as null.  CSV files use shortest round-trip floats.
 
 Exit codes: 0 all requested checks passed; 1 usage error; 2 validity
 violation (excluded b, inadmissible or singular parameters, unstable
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Mapping, Sequence
@@ -108,6 +110,12 @@ def render_json(obj, level: int = 0) -> str:
         rows = [f"{pad_in}{render_json(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _measured(v: float) -> float | None:
+    """A measured value for a report row; a non-finite one (a scan that
+    hit a pole) is reported as null."""
+    return float(v) if math.isfinite(v) else None
 
 
 def _manifest(command: str, seed: int, parameters: dict,
@@ -282,8 +290,8 @@ def _verify_expression(args, seed: int) -> int:
         "results": [{
             "expr": args.expr,
             "b": args.b,
-            "max_abs_residual": report.max_abs_residual,
-            "scale": report.scale,
+            "max_abs_residual": _measured(report.max_abs_residual),
+            "scale": _measured(report.scale),
             "tolerance": report.tolerance,
             "points_evaluated": report.points_evaluated,
             "points_excluded": report.points_excluded,
@@ -332,8 +340,8 @@ def cmd_verify(args) -> int:
                 "family": fid,
                 "b": args.b,
                 "params": params,
-                "max_abs_residual": report.max_abs_residual,
-                "scale": report.scale,
+                "max_abs_residual": _measured(report.max_abs_residual),
+                "scale": _measured(report.scale),
                 "tolerance": report.tolerance,
                 "points_evaluated": report.points_evaluated,
                 "points_excluded": report.points_excluded,

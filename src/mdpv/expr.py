@@ -561,9 +561,15 @@ def parse(text: str) -> Expr:
 
     Numbers become exact rationals (`3`, `0.25`, `1e-3` are all exact);
     `/` builds a reciprocal power, `^` is right-associative and binds
-    tighter than unary minus.  Raises ParseError with a byte offset.
+    tighter than unary minus.  Raises ParseError with a byte offset,
+    also for input nested deeper than the interpreter's recursion limit.
     """
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------

@@ -10,11 +10,12 @@ whose right-hand side has zero discrete mean on a periodic grid, so
 the mean of u is conserved to roundoff by any Runge-Kutta step.  Two
 interchangeable spatial discretizations sit behind a scheme tag:
 
-  spectral  Fourier-collocation derivatives and exact division by
-            (1 + k^2) in transform space;
-  fd4       4th-order central differences with the cyclic pentadiagonal
-            Helmholtz matrix solved exactly via a banded factorization
-            plus a rank-4 Woodbury correction for the wrap-around.
+  spectral  Fourier-collocation derivatives, symbols ik and -k^2;
+  fd4       4th-order central differences, whose 5-point stencils are
+            circulant and so act as their Fourier symbols at k*dx.
+
+Both are applied as multipliers from one table of Fourier symbols, and
+the Helmholtz inverse is exact division by the symbol of (1 - dxx).
 
 Time stepping is classical RK4 with a step-size guard checked at run
 start and a blow-up sentinel checked every step.  A run integrates a
@@ -26,11 +27,11 @@ the profile extremum with sub-grid quadratic interpolation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .catalog import FamilyInstance
 from .expr import compile_fn
@@ -136,74 +137,43 @@ def cfl_limit(u0: np.ndarray, grid: Grid) -> float:
 # ---------------------------------------------------------------------
 # spatial operators
 
-def _spectral_d1(u: np.ndarray, grid: Grid) -> np.ndarray:
-    k = grid.wavenumbers()
-    mult = 1j * k
-    mult[-1] = 0.0  # odd derivative: drop the unpaired Nyquist mode
-    return np.fft.irfft(mult * np.fft.rfft(u), grid.n)
+@functools.lru_cache(maxsize=16)
+def _operators(grid: Grid, scheme: str):
+    """Fourier symbols (d1, d2, 1 - d2) of the scheme's first and second
+    derivatives and of its Helmholtz operator, on the real-transform
+    modes of the grid.
 
-
-def _spectral_d2(u: np.ndarray, grid: Grid) -> np.ndarray:
-    k = grid.wavenumbers()
-    return np.fft.irfft(-(k * k) * np.fft.rfft(u), grid.n)
-
-
-def _fd_d1(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, 2) - 8.0 * np.roll(u, 1) + 8.0 * np.roll(u, -1)
-            - np.roll(u, -2)) / (12.0 * dx)
-
-
-def _fd_d2(u: np.ndarray, dx: float) -> np.ndarray:
-    return (-np.roll(u, 2) + 16.0 * np.roll(u, 1) - 30.0 * u
-            + 16.0 * np.roll(u, -1) - np.roll(u, -2)) / (12.0 * dx * dx)
-
-
-def _fd4_helmholtz_solver(n: int, dx: float):
-    """Exact solver for (I - D2) w = f with the 4th-order periodic D2.
-
-    The cyclic pentadiagonal matrix is split as A = B + P Q^T, where B
-    is its strictly banded part (positive definite: the difference
-    symbol 1 + 4(1-c)(7-c)/(12 dx^2) is bounded below by 1) and P Q^T
-    carries the six wrap-around entries.  Sherman-Morrison-Woodbury
-    then reduces each solve to one banded solve plus a 4x4 correction.
+    Both schemes are circulant on the periodic grid, so the DFT
+    diagonalizes them exactly and every operator is a multiplier: ik
+    and -k^2 for spectral, the symbols of the 5-point stencils at
+    theta = k*dx for fd4.  d1 drops the unpaired Nyquist mode.  The
+    arrays are shared by every caller and therefore read-only.
     """
-    h = 12.0 * dx * dx
-    m0, o1, o2 = 1.0 + 30.0 / h, -16.0 / h, 1.0 / h
-    ab = np.empty((5, n))
-    ab[0], ab[1], ab[2], ab[3], ab[4] = o2, o1, m0, o1, o2
-    P = np.zeros((n, 4))
-    P[0, 0] = P[1, 1] = P[n - 2, 2] = P[n - 1, 3] = 1.0
-    QT = np.zeros((4, n))
-    QT[0, n - 2], QT[0, n - 1] = o2, o1
-    QT[1, n - 1] = o2
-    QT[2, 0] = o2
-    QT[3, 0], QT[3, 1] = o1, o2
-    binv_p = solve_banded((2, 2), ab, P)
-    correct = binv_p @ np.linalg.inv(np.eye(4) + QT @ binv_p)
-
-    def solve(f: np.ndarray) -> np.ndarray:
-        y = solve_banded((2, 2), ab, f)
-        return y - correct @ (QT @ y)
-
-    return solve
-
-
-_FD_SOLVERS: dict = {}
+    k = grid.wavenumbers()
+    if scheme == "spectral":
+        d1 = 1j * k
+        d2 = -(k * k)
+    elif scheme == "fd4":
+        dx = grid.dx
+        theta = k * dx
+        d1 = 1j * (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * dx)
+        d2 = -(30.0 - 32.0 * np.cos(theta)
+               + 2.0 * np.cos(2.0 * theta)) / (12.0 * dx * dx)
+    else:
+        raise ValueError(f"unknown scheme '{scheme}'")
+    d1[-1] = 0.0
+    ops = (d1, d2, 1.0 - d2)
+    for a in ops:
+        a.flags.writeable = False
+    return ops
 
 
 def helmholtz_solve(f: np.ndarray, grid: Grid,
                     scheme: str = "spectral") -> np.ndarray:
     """w with (1 - dxx) w = f, exactly for the scheme's discrete dxx."""
+    helmholtz = _operators(grid, scheme)[2]
     f = np.asarray(f, dtype=float)
-    if scheme == "spectral":
-        k = grid.wavenumbers()
-        return np.fft.irfft(np.fft.rfft(f) / (1.0 + k * k), grid.n)
-    if scheme == "fd4":
-        key = (grid.n, grid.dx)
-        if key not in _FD_SOLVERS:
-            _FD_SOLVERS[key] = _fd4_helmholtz_solver(grid.n, grid.dx)
-        return _FD_SOLVERS[key](f)
-    raise ValueError(f"unknown scheme '{scheme}'")
+    return np.fft.irfft(np.fft.rfft(f) / helmholtz, grid.n)
 
 
 def flux_divergence(u: np.ndarray, cfg: SimConfig,
@@ -218,16 +188,13 @@ def flux_divergence(u: np.ndarray, cfg: SimConfig,
     """
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite input state")
+    d1, d2, _ = _operators(grid, cfg.scheme)
     b = cfg.b
-    if cfg.scheme == "spectral":
-        ux = _spectral_d1(u, grid)
-        uxx = _spectral_d2(u, grid)
-        f = -(b + 1.0) / 3.0 * u ** 3 + u * uxx + 0.5 * (b - 1.0) * ux * ux
-        return _spectral_d1(f, grid)
-    ux = _fd_d1(u, grid.dx)
-    uxx = _fd_d2(u, grid.dx)
+    u_hat = np.fft.rfft(u)
+    ux = np.fft.irfft(d1 * u_hat, grid.n)
+    uxx = np.fft.irfft(d2 * u_hat, grid.n)
     f = -(b + 1.0) / 3.0 * u ** 3 + u * uxx + 0.5 * (b - 1.0) * ux * ux
-    return _fd_d1(f, grid.dx)
+    return np.fft.irfft(d1 * np.fft.rfft(f), grid.n)
 
 
 def rhs(u: np.ndarray, cfg: SimConfig, grid: Grid) -> np.ndarray:

@@ -201,7 +201,7 @@ def test_manufactured_solution_run():
              f"linf {report.linf_error:.2e} <= 1e-3, drift"
              f" {report.mass_drift:.1e} <= 1e-8, speed"
              f" {report.measured_speed:.6f} within 1% of -2.5;"
-             f" banded scheme order {order:.2f} >= 3.5")
+             f" fd4 scheme order {order:.2f} >= 3.5")
 
 
 # ---------------------------------------------------------------------

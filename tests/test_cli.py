@@ -7,6 +7,10 @@ and byte-level JSON determinism are the load-bearing assertions.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -91,6 +95,14 @@ def test_bad_seed_env(capsys, monkeypatch):
     assert SEED_ENV_VAR in err
 
 
+def test_deeply_nested_expr_is_a_usage_error(capsys):
+    deep = "exp(" * 20_000 + "xi" + ")" * 20_000
+    rc, _out, err = run_cli(capsys, ["verify", "--expr", deep, "--b", "3"])
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: --expr: expression nested too deeply")
+    assert len(err.splitlines()) == 1
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -146,6 +158,15 @@ def test_expr_can_pass(capsys):
     rc, out, _ = run_cli(capsys, ["verify", "--expr", "0", "--b", "3"])
     assert rc == EXIT_OK
     assert "pass" in out
+
+
+def test_pole_in_window_reports_null_residual(capsys):
+    rc, doc, _out, _err = run_json(capsys, ["verify", "--expr", "1/xi",
+                                            "--b", "3"])
+    assert rc == EXIT_FAIL
+    row = doc["results"][0]
+    assert row["max_abs_residual"] is None and row["passed"] is False
+    assert doc["all_passed"] is False
 
 
 def test_perturbed_system_exits_3(capsys):
@@ -404,3 +425,16 @@ def test_simulate_family_with_parameters(capsys):
     assert rc == EXIT_OK
     assert doc["summary"]["expected_speed"] == pytest.approx(-1.5)
     assert doc["summary"]["linf_error"] <= 1e-5
+
+
+# ---------------------------------------------------------------------
+# dependencies
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, mdpv.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "False"

@@ -11,9 +11,8 @@ from mdpv.catalog import FamilyInstance
 from mdpv.expr import compile_fn
 from mdpv.sim import (
     BlowUpError, Grid, InadmissibleFamilyError, SimConfig, SimReport,
-    SimState, _fd_d1, _fd_d2, _PeakTracker, _rk4, _spectral_d1,
-    _spectral_d2, cfl_limit, flux_divergence, helmholtz_solve, rhs, run,
-    step_rk4, write_snapshots_csv,
+    SimState, _operators, _PeakTracker, _rk4, cfl_limit, flux_divergence,
+    helmholtz_solve, rhs, run, step_rk4, write_snapshots_csv,
 )
 
 SCHEMES = ("spectral", "fd4")
@@ -25,6 +24,25 @@ def _u6(b=3.0):
 
 def _profile_fn(inst):
     return compile_fn(inst.profile(), ["xi"])
+
+
+def _d1(u, g, scheme):
+    return np.fft.irfft(_operators(g, scheme)[0] * np.fft.rfft(u), g.n)
+
+
+def _d2(u, g, scheme):
+    return np.fft.irfft(_operators(g, scheme)[1] * np.fft.rfft(u), g.n)
+
+
+def _roll_d1(u, dx):
+    # explicit 5-point stencils: the oracle for the fd4 Fourier symbols
+    return (np.roll(u, 2) - 8.0 * np.roll(u, 1) + 8.0 * np.roll(u, -1)
+            - np.roll(u, -2)) / (12.0 * dx)
+
+
+def _roll_d2(u, dx):
+    return (-np.roll(u, 2) + 16.0 * np.roll(u, 1) - 30.0 * u
+            + 16.0 * np.roll(u, -1) - np.roll(u, -2)) / (12.0 * dx * dx)
 
 
 # ---------------------------------------------------------------------
@@ -106,10 +124,7 @@ def test_helmholtz_inverts_its_own_operator(scheme):
     rng = np.random.default_rng(3)
     f = rng.standard_normal(256)
     w = helmholtz_solve(f, g, scheme)
-    if scheme == "spectral":
-        back = w - _spectral_d2(w, g)
-    else:
-        back = w - _fd_d2(w, g.dx)
+    back = w - _d2(w, g, scheme)
     assert np.max(np.abs(back - f)) <= 1e-10 * (1 + np.max(np.abs(f)))
 
 
@@ -118,15 +133,40 @@ def test_helmholtz_unknown_scheme():
         helmholtz_solve(np.zeros(128), Grid(128, 10.0), "fd2")
 
 
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_fd4_symbols_match_roll_stencils(n):
+    g = Grid(n, 25.0)
+    u = np.random.default_rng(n).standard_normal(n)
+    for ours, oracle in ((_d1(u, g, "fd4"), _roll_d1(u, g.dx)),
+                         (_d2(u, g, "fd4"), _roll_d2(u, g.dx))):
+        assert np.max(np.abs(ours - oracle)) \
+            <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_fd4_helmholtz_matches_dense_solve(n):
+    # I - D2 with D2 the cyclic pentadiagonal 4th-order matrix
+    g = Grid(n, 25.0)
+    d2 = np.zeros((n, n))
+    j = np.arange(n)
+    for off, c in ((0, -30.0), (1, 16.0), (-1, 16.0), (2, -1.0),
+                   (-2, -1.0)):
+        d2[j, (j + off) % n] = c / (12.0 * g.dx * g.dx)
+    f = np.random.default_rng(n + 1).standard_normal(n)
+    dense = np.linalg.solve(np.eye(n) - d2, f)
+    w = helmholtz_solve(f, g, "fd4")
+    assert np.max(np.abs(w - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_fd_derivatives_fourth_order():
     errs1, errs2 = {}, {}
     for n in (128, 256):
         g = Grid(n, 20.0)
         k = 2 * np.pi * 3 / g.length
         u = np.sin(k * g.nodes())
-        errs1[n] = np.max(np.abs(_fd_d1(u, g.dx)
+        errs1[n] = np.max(np.abs(_d1(u, g, "fd4")
                                  - k * np.cos(k * g.nodes())))
-        errs2[n] = np.max(np.abs(_fd_d2(u, g.dx)
+        errs2[n] = np.max(np.abs(_d2(u, g, "fd4")
                                  + k * k * np.sin(k * g.nodes())))
     assert errs1[128] / errs1[256] >= 8.0
     assert errs2[128] / errs2[256] >= 8.0
@@ -174,7 +214,7 @@ def test_rhs_traveling_identity_spectral():
     u0 = _profile_fn(inst)(g.nodes())
     cfg = SimConfig(b=3.0, dt=5e-4, t_final=2.0)
     r = rhs(u0, cfg, g)
-    ux = _spectral_d1(u0, g)
+    ux = _d1(u0, g, "spectral")
     assert np.max(np.abs(r - inst.speed() * ux)) <= 1e-6
 
 
@@ -185,7 +225,7 @@ def test_rhs_traveling_identity_fd4_converges():
         g = Grid(n, 40.0)
         u0 = _profile_fn(inst)(g.nodes())
         cfg = SimConfig(b=3.0, dt=5e-4, t_final=2.0, scheme="fd4")
-        ux = _fd_d1(u0, g.dx)
+        ux = _d1(u0, g, "fd4")
         devs[n] = np.max(np.abs(rhs(u0, cfg, g) - inst.speed() * ux))
     assert devs[256] <= 2e-4
     assert devs[256] / devs[512] >= 8.0
