@@ -34,6 +34,7 @@ from .expr import (
     substitute_map,
 )
 from . import polytools as pt
+from .catalog import method_tag
 from .riccati import RiccatiSpec
 
 __all__ = [
@@ -335,7 +336,7 @@ def _euler_step(num: Expr, den_pow: int, scale: Expr, den: Expr,
 
 
 def _cole_hopf_system_symbolic() -> AlgebraicSystem:
-    got = _SYSTEM_CACHE.get("cole-hopf")
+    got = _SYSTEM_CACHE.get("colehopf")
     if got is not None:
         return got
     z = Sym("z")
@@ -362,11 +363,11 @@ def _cole_hopf_system_symbolic() -> AlgebraicSystem:
     )
     groups = _collect_powers(total, _CH_VARS)
     system = _assemble_system(
-        "cole-hopf", "exponential of the phase", _CH_UNKNOWNS, groups,
+        "colehopf", "exponential of the phase", _CH_UNKNOWNS, groups,
         _CH_VARS[1:], ("amp", "mu"),
         "multiplied by (1+z)^7; amp/mu monomial factors stripped "
         "(both are nonzero by construction); rational content removed")
-    _SYSTEM_CACHE["cole-hopf"] = system
+    _SYSTEM_CACHE["colehopf"] = system
     return system
 
 
@@ -476,7 +477,7 @@ _TC_VARS = _TC_UNKNOWNS + ("b",)
 
 
 def _tanh_coth_system_symbolic() -> AlgebraicSystem:
-    got = _SYSTEM_CACHE.get("tanh-coth")
+    got = _SYSTEM_CACHE.get("tanhcoth")
     if got is not None:
         return got
     syms = {n: Sym(n) for n in _TC_VARS}
@@ -485,12 +486,12 @@ def _tanh_coth_system_symbolic() -> AlgebraicSystem:
                             "beta", "gamma", "lam", "b")))
     groups = {k: pt.to_poly(c, _TC_VARS) for k, c in L.items()}
     system = _assemble_system(
-        "tanh-coth", "kernel function of the quadratic ODE",
+        "tanhcoth", "kernel function of the quadratic ODE",
         _TC_UNKNOWNS, groups, _TC_VARS, (),
         "kernel powers collected directly from the Laurent residual; "
         "powers quoted before the phi^7 clearing shift; rational "
         "content removed")
-    _SYSTEM_CACHE["tanh-coth"] = system
+    _SYSTEM_CACHE["tanhcoth"] = system
     return system
 
 
@@ -717,24 +718,20 @@ _ENV_BUILDERS = {
 }
 
 
-def _method_for(fid: str) -> str:
-    n = int(fid[1:])
-    if n <= 2:
-        return "cole-hopf"
-    if n <= 10:
-        return "hyperbolic"
-    return "tanh-coth"
+# route -> system builder; each builder is looked up by name at call
+# time, so a wrapper installed on the module attribute (as the
+# benchmark's tracing does) also sees calls made through this table
+_SYSTEM_BUILDERS = {
+    "colehopf": lambda b: cole_hopf_system(b),
+    "hyperbolic": lambda b: rational_hyperbolic_system(b),
+    "tanhcoth": lambda b: tanh_coth_system(b),
+}
 
 
 def system_for_family(fid: str, b="b") -> AlgebraicSystem:
     if fid not in _ENV_BUILDERS:
         raise KeyError(f"unknown family '{fid}' (expected u1..u23)")
-    method = _method_for(fid)
-    if method == "cole-hopf":
-        return cole_hopf_system(b)
-    if method == "hyperbolic":
-        return rational_hyperbolic_system(b)
-    return tanh_coth_system(b)
+    return _SYSTEM_BUILDERS[method_tag(fid)](b)
 
 
 def family_system_env(fid: str, b: float, params: dict[str, float],

@@ -42,7 +42,7 @@ __all__ = [
     "Family", "FamilyInstance", "FAMILIES", "family", "family_ids",
     "profile_with_values", "speed_value", "is_valid", "singular_points",
     "verify_family", "draw_params", "method_tag", "catalog_manifest",
-    "printed_u10",
+    "ROUTES", "printed_u10",
     "tanh_composite_profile",
 ]
 
@@ -555,14 +555,18 @@ def draw_params(fid: str, rng: np.random.Generator, b: float) -> dict:
     raise RuntimeError(f"could not draw valid parameters for {fid}")
 
 
+# construction route that generated each family, spelled as the CLI's
+# --method values
+ROUTES: dict[str, str] = {
+    **dict.fromkeys(("u1", "u2"), "colehopf"),
+    **dict.fromkeys([f"u{i}" for i in range(3, 11)], "hyperbolic"),
+    **dict.fromkeys([f"u{i}" for i in range(11, 24)], "tanhcoth"),
+}
+
+
 def method_tag(fid: str) -> str:
     """Which construction route generated the family."""
-    n = int(family(fid).family_id[1:])
-    if n <= 2:
-        return "colehopf"
-    if n <= 10:
-        return "hyperbolic"
-    return "tanhcoth"
+    return ROUTES[family(fid).family_id]
 
 
 def catalog_manifest() -> list[dict]:

@@ -36,8 +36,8 @@ import numpy as np
 from . import __version__
 from .ansatz import family_system_env, system_for_family
 from .catalog import (
-    FamilyInstance, catalog_manifest, draw_params, family, family_ids,
-    is_valid, method_tag, verify_family,
+    ROUTES, FamilyInstance, catalog_manifest, draw_params, family,
+    family_ids, is_valid, method_tag, verify_family,
 )
 from .expr import ExprError, evaluate, free_symbols, parse
 from .residual import ResidualReport, classic_eq, modified_eq, \
@@ -60,7 +60,7 @@ EXIT_BLOWUP = 4
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "MDPV_SEED"
 
-METHOD_CHOICES = ("colehopf", "hyperbolic", "tanhcoth")
+METHOD_CHOICES = tuple(dict.fromkeys(ROUTES.values()))
 
 
 class UsageError(Exception):

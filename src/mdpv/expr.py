@@ -12,18 +12,23 @@ expands products, and it never converts an exact rational constant into a
 float.  Equality of expressions is structural; semantic equality is
 decided by the pointwise sampling oracle `pointwise_equal`.
 
-Trees are immutable and hash-consed light: every node carries a
-deterministic structural hash computed at construction, so dict lookups
-and equality short-circuits are O(1).  Derivatives of shared subtrees are
-shared, which keeps the generated evaluators (see `compile_fn`) compact.
+Trees are immutable and carry a deterministic structural hash computed
+at construction; nodes are not interned, so equal nodes that are
+distinct objects compare by a full walk.  `children` is the one
+description of the node layout and `postorder` the one traversal: each
+memoized walker is a loop over it that fills a dict keyed by structure,
+so tree depth is not bounded by the interpreter's recursion limit.
+`evaluate`, `evaluate_exact`, formatting and the parser keep no memo
+and recurse directly; `parse` bounds the depth of trees read from text.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import (
+    Callable, Container, Iterable, Iterator, Mapping, Sequence, Union,
+)
 
 import numpy as np
 
@@ -36,11 +41,8 @@ __all__ = [
     "parse", "format_expr", "evaluate", "evaluate_exact",
     "diff", "substitute", "substitute_map", "simplify",
     "free_symbols", "compile_fn", "pointwise_equal",
-    "FUNCTIONS",
+    "children", "postorder", "FUNCTIONS",
 ]
-
-# deep derivative trees can exceed the default interpreter limit
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
 
 Number = Union[int, float, Fraction]
 
@@ -239,27 +241,70 @@ class Call(Expr):
         raise AttributeError("Call is immutable")
 
 
+def children(e: Expr) -> tuple:
+    """Operands of a node, left to right; () for constants and symbols."""
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base, e.exponent)
+    if isinstance(e, Call):
+        return (e.arg,)
+    return ()
+
+
+def postorder(e: Expr, done: Container = ()) -> Iterator[Expr]:
+    """Every structurally distinct node of `e` once, operands before
+    their parent, left to right, skipping subtrees whose root is in
+    `done` (a walker passes the memo it fills)."""
+    # a node is marked when its operands are pushed: no equal copy can
+    # turn up before it is yielded, as no tree holds a copy of itself
+    seen: set[Expr] = set()
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if node is _READY:
+            yield stack.pop()
+        elif node not in done and node not in seen:
+            seen.add(node)
+            kids = children(node)
+            if kids:
+                stack += (node, _READY)
+                stack.extend(reversed(kids))
+            else:
+                yield node
+
+
+# stack marker: the entry below it is a node whose operands are done
+_READY = object()
+
+
 def _struct_eq(a: Expr, b: Expr) -> bool:
-    if a is b:
-        return True
-    if type(a) is not type(b) or a.shash != b.shash:
-        return False
-    if isinstance(a, Const):
-        # 1 == 1.0 in Python; keep exact and float constants distinct
-        return type(a.value) is type(b.value) and a.value == b.value
-    if isinstance(a, Sym):
-        return a.name == b.name
-    if isinstance(a, Add):
-        return len(a.terms) == len(b.terms) and all(
-            _struct_eq(x, y) for x, y in zip(a.terms, b.terms))
-    if isinstance(a, Mul):
-        return len(a.factors) == len(b.factors) and all(
-            _struct_eq(x, y) for x, y in zip(a.factors, b.factors))
-    if isinstance(a, Pow):
-        return _struct_eq(a.base, b.base) and _struct_eq(a.exponent, b.exponent)
-    if isinstance(a, Call):
-        return a.fn == b.fn and _struct_eq(a.arg, b.arg)
-    raise TypeError(type(a))
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__ or a.shash != b.shash:
+            return False
+        if cls is Const:
+            # 1 == 1.0 in Python; keep exact and float constants distinct
+            if not (type(a.value) is type(b.value) and a.value == b.value):
+                return False
+            continue
+        if cls is Sym:
+            if a.name != b.name:
+                return False
+            continue
+        if cls is Call and a.fn != b.fn:
+            return False
+        ka, kb = children(a), children(b)
+        if len(ka) != len(kb):
+            return False
+        stack.extend(zip(ka, kb))
+    return True
 
 
 # ---------------------------------------------------------------------
@@ -562,7 +607,10 @@ def parse(text: str) -> Expr:
     Numbers become exact rationals (`3`, `0.25`, `1e-3` are all exact);
     `/` builds a reciprocal power, `^` is right-associative and binds
     tighter than unary minus.  Raises ParseError with a byte offset,
-    also for input nested deeper than the interpreter's recursion limit.
+    also for input nested deeper than the recursive descent can follow:
+    each nesting level costs five interpreter frames, so at the default
+    recursion limit of 1000 the ceiling is just under 200 levels of
+    parentheses or function calls ("expression nested too deeply").
     """
     parser = _Parser(text)
     try:
@@ -837,78 +885,62 @@ def evaluate_exact(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
 # ---------------------------------------------------------------------
 # differentiation
 
+# derivative of f(a) with respect to a, given the node t = f(a) and a
+_CALL_DERIV: dict[str, Callable[[Expr, Expr], Expr]] = {
+    "exp": lambda t, a: t,
+    "log": lambda t, a: pow_(a, -1),
+    "sqrt": lambda t, a: mul(HALF, pow_(t, -1)),
+    "sin": lambda t, a: cos(a),
+    "cos": lambda t, a: mul(-1, sin(a)),
+    "tan": lambda t, a: add(1, pow_(t, 2)),
+    "cot": lambda t, a: mul(-1, add(1, pow_(t, 2))),
+    "csc": lambda t, a: mul(-1, t, cot(a)),
+    "sinh": lambda t, a: cosh(a),
+    "cosh": lambda t, a: sinh(a),
+    "tanh": lambda t, a: add(1, mul(-1, pow_(t, 2))),
+}
+
+
 def diff(e: Expr, s: Union[str, Sym]) -> Expr:
     """Exact symbolic derivative with respect to one symbol."""
     name = s.name if isinstance(s, Sym) else s
     memo: dict[Expr, Expr] = {}
+    for t in postorder(e, memo):
+        memo[t] = _diff_node(t, name, memo)
+    return memo[e]
 
-    def d(t: Expr) -> Expr:
-        got = memo.get(t)
-        if got is not None:
-            return got
-        if isinstance(t, Const):
-            r = ZERO
-        elif isinstance(t, Sym):
-            r = ONE if t.name == name else ZERO
-        elif isinstance(t, Add):
-            r = add(*[d(x) for x in t.terms])
-        elif isinstance(t, Mul):
-            parts = []
-            fs = t.factors
-            for i, f in enumerate(fs):
-                df = d(f)
-                if df is ZERO or df == ZERO:
-                    continue
-                parts.append(mul(*fs[:i], df, *fs[i + 1:]))
-            r = add(*parts) if parts else ZERO
-        elif isinstance(t, Pow):
-            b, x = t.base, t.exponent
-            db = d(b)
-            dx = d(x)
-            if dx == ZERO:
-                # d(b^c) = c*b^(c-1)*db
-                r = mul(x, pow_(b, add(x, -1)), db) if db != ZERO else ZERO
-            else:
-                # general: b^x * (dx*log(b) + x*db/b)
-                r = mul(t, add(mul(dx, log(b)), mul(x, db, pow_(b, -1))))
-        elif isinstance(t, Call):
-            a = t.arg
-            da = d(a)
-            if da == ZERO:
-                r = ZERO
-            else:
-                fn = t.fn
-                if fn == "exp":
-                    g = t
-                elif fn == "log":
-                    g = pow_(a, -1)
-                elif fn == "sqrt":
-                    g = mul(HALF, pow_(t, -1))
-                elif fn == "sin":
-                    g = cos(a)
-                elif fn == "cos":
-                    g = mul(-1, sin(a))
-                elif fn == "tan":
-                    g = add(1, pow_(t, 2))
-                elif fn == "cot":
-                    g = mul(-1, add(1, pow_(t, 2)))
-                elif fn == "csc":
-                    g = mul(-1, t, cot(a))
-                elif fn == "sinh":
-                    g = cosh(a)
-                elif fn == "cosh":
-                    g = sinh(a)
-                elif fn == "tanh":
-                    g = add(1, mul(-1, pow_(t, 2)))
-                else:  # pragma: no cover
-                    raise TypeError(fn)
-                r = mul(g, da)
-        else:
-            raise TypeError(type(t))
-        memo[t] = r
-        return r
 
-    return d(e)
+def _diff_node(t: Expr, name: str, d: Mapping[Expr, Expr]) -> Expr:
+    # derivative of one node, given the derivatives `d` of its operands
+    if isinstance(t, Const):
+        return ZERO
+    if isinstance(t, Sym):
+        return ONE if t.name == name else ZERO
+    if isinstance(t, Add):
+        return add(*[d[x] for x in t.terms])
+    if isinstance(t, Mul):
+        parts = []
+        fs = t.factors
+        for i, f in enumerate(fs):
+            df = d[f]
+            if df is ZERO or df == ZERO:
+                continue
+            parts.append(mul(*fs[:i], df, *fs[i + 1:]))
+        return add(*parts) if parts else ZERO
+    if isinstance(t, Pow):
+        b, x = t.base, t.exponent
+        db, dx = d[b], d[x]
+        if dx == ZERO:
+            # d(b^c) = c*b^(c-1)*db
+            return mul(x, pow_(b, add(x, -1)), db) if db != ZERO else ZERO
+        # general: b^x * (dx*log(b) + x*db/b)
+        return mul(t, add(mul(dx, log(b)), mul(x, db, pow_(b, -1))))
+    if isinstance(t, Call):
+        da = d[t.arg]
+        if da == ZERO:
+            return ZERO
+        return mul(_CALL_DERIV[t.fn](t, t.arg), da)
+    raise TypeError(type(t))
 
 
 # ---------------------------------------------------------------------
@@ -924,54 +956,27 @@ def substitute(e: Expr, s: Union[str, Sym], replacement) -> Expr:
 def substitute_map(e: Expr, mapping: Mapping[str, object]) -> Expr:
     repl = {k: _as_expr(v) for k, v in mapping.items()}
     memo: dict[Expr, Expr] = {}
-
-    def walk(t: Expr) -> Expr:
-        got = memo.get(t)
-        if got is not None:
-            return got
+    for t in postorder(e, memo):
         if isinstance(t, Sym):
             r = repl.get(t.name, t)
         elif isinstance(t, Const):
             r = t
         elif isinstance(t, Add):
-            r = add(*[walk(x) for x in t.terms])
+            r = add(*[memo[x] for x in t.terms])
         elif isinstance(t, Mul):
-            r = mul(*[walk(x) for x in t.factors])
+            r = mul(*[memo[x] for x in t.factors])
         elif isinstance(t, Pow):
-            r = pow_(walk(t.base), walk(t.exponent))
+            r = pow_(memo[t.base], memo[t.exponent])
         elif isinstance(t, Call):
-            r = call(t.fn, walk(t.arg))
+            r = call(t.fn, memo[t.arg])
         else:
             raise TypeError(type(t))
         memo[t] = r
-        return r
-
-    return walk(e)
+    return memo[e]
 
 
 def free_symbols(e: Expr) -> frozenset[str]:
-    memo: dict[Expr, frozenset] = {}
-
-    def walk(t: Expr) -> frozenset:
-        got = memo.get(t)
-        if got is not None:
-            return got
-        if isinstance(t, Sym):
-            r = frozenset((t.name,))
-        elif isinstance(t, Const):
-            r = frozenset()
-        elif isinstance(t, Add):
-            r = frozenset().union(*[walk(x) for x in t.terms])
-        elif isinstance(t, Mul):
-            r = frozenset().union(*[walk(x) for x in t.factors])
-        elif isinstance(t, Pow):
-            r = walk(t.base) | walk(t.exponent)
-        else:
-            r = walk(t.arg)
-        memo[t] = r
-        return r
-
-    return walk(e)
+    return frozenset(t.name for t in postorder(e) if isinstance(t, Sym))
 
 
 # ---------------------------------------------------------------------
@@ -1021,19 +1026,23 @@ def simplify(e: Expr) -> Expr:
     never exact-to-float demotion."""
     memo: dict[Expr, Expr] = {}
 
-    def walk(t: Expr) -> Expr:
-        got = memo.get(t)
+    def walk(root: Expr) -> Expr:
+        # re-entered for nodes that _simp builds; the shared memo stops
+        # the new walk at every subtree already simplified
+        got = memo.get(root)
         if got is not None:
             return got
-        r = _simp(t, walk)
-        memo[t] = r
-        memo[r] = r
-        return r
+        for t in postorder(root, memo):
+            r = _simp(t, memo, walk)
+            memo[t] = r
+            memo[r] = r
+        return memo[root]
 
     return walk(e)
 
 
-def _simp(t: Expr, walk) -> Expr:
+def _simp(t: Expr, memo: Mapping[Expr, Expr], walk) -> Expr:
+    # one rewriting step; `memo` holds the simplified operands of `t`
     if isinstance(t, (Const, Sym)):
         return t
 
@@ -1041,8 +1050,7 @@ def _simp(t: Expr, walk) -> Expr:
         const: Number = Fraction(0)
         order: list[Expr] = []
         buckets: dict[Expr, Number] = {}
-        stack = [walk(x) for x in t.terms]
-        for term in _flat_add(stack):
+        for term in _flat_add([memo[x] for x in t.terms]):
             if isinstance(term, Const):
                 const = _const_add(const, term.value)
                 continue
@@ -1073,7 +1081,7 @@ def _simp(t: Expr, walk) -> Expr:
         coeff: Number = Fraction(1)
         order: list[Expr] = []
         exps: dict[Expr, Number] = {}
-        for f in _flat_mul([walk(x) for x in t.factors]):
+        for f in _flat_mul([memo[x] for x in t.factors]):
             if isinstance(f, Const):
                 coeff = _const_mul(coeff, f.value)
                 continue
@@ -1112,8 +1120,8 @@ def _simp(t: Expr, walk) -> Expr:
         return Mul(tuple(out))
 
     if isinstance(t, Pow):
-        b = walk(t.base)
-        x = walk(t.exponent)
+        b = memo[t.base]
+        x = memo[t.exponent]
         if isinstance(x, Const) and x.is_rational:
             xv = x.value
             if xv == 0:
@@ -1141,7 +1149,7 @@ def _simp(t: Expr, walk) -> Expr:
         return pow_(b, x)
 
     if isinstance(t, Call):
-        a = walk(t.arg)
+        a = memo[t.arg]
         if isinstance(a, Const):
             if a.is_rational:
                 av = a.value
@@ -1191,32 +1199,40 @@ _NP_FN = {
 _compile_cache: dict[tuple[Expr, tuple[str, ...]], Callable] = {}
 
 
+# operands per emitted line of a long sum or product
+_FOLD_CHUNK = 64
+
+
 def compile_fn(e: Expr, variables: Sequence[str]) -> Callable:
     """Compile to a vectorized numpy function of the given variables.
 
-    Shared subtrees become shared temporaries, so heavily structured
-    derivative trees evaluate in roughly DAG-size many operations.
-    Domain violations yield nan/inf elementwise instead of raising;
-    callers decide how to treat non-finite output.
+    Structurally equal subtrees share one temporary, so heavily
+    structured derivative trees evaluate in roughly DAG-size many
+    operations.  Domain violations yield nan/inf elementwise instead of
+    raising; callers decide how to treat non-finite output.
     """
     key = (e, tuple(variables))
     fn = _compile_cache.get(key)
     if fn is not None:
         return fn
 
-    names: dict[int, str] = {}
+    names: dict[Expr, str] = {}
     lines: list[str] = []
-    counter = 0
     var_set = set(variables)
 
     def emit(line: str):
         lines.append("        " + line)
 
-    def visit(node: Expr) -> str:
-        nonlocal counter
-        got = names.get(id(node))
-        if got is not None:
-            return got
+    def fold(ref: str, op: str, operands: Sequence[Expr]):
+        # `a + b + c` runs as `(a + b) + c`, so continuing the chain on
+        # the next line gives the same bits, and no line nests so deep
+        # that compiling it overflows the interpreter's recursion limit
+        refs = [names[x] for x in operands]
+        emit(f"{ref} = " + op.join(refs[:_FOLD_CHUNK]))
+        for i in range(_FOLD_CHUNK, len(refs), _FOLD_CHUNK - 1):
+            emit(f"{ref} = " + op.join([ref, *refs[i:i + _FOLD_CHUNK - 1]]))
+
+    for node in postorder(e):
         if isinstance(node, Const):
             # np.float64 so 0.0**-3 yields inf under errstate instead of
             # raising like a bare python float would
@@ -1226,14 +1242,13 @@ def compile_fn(e: Expr, variables: Sequence[str]) -> Callable:
                 raise EvalError(f"unbound symbol '{node.name}'", node)
             ref = f"v_{node.name}"
         else:
-            counter += 1
-            ref = f"t{counter}"
+            ref = f"t{len(names)}"
             if isinstance(node, Add):
-                emit(f"{ref} = " + " + ".join(visit(x) for x in node.terms))
+                fold(ref, " + ", node.terms)
             elif isinstance(node, Mul):
-                emit(f"{ref} = " + " * ".join(visit(x) for x in node.factors))
+                fold(ref, " * ", node.factors)
             elif isinstance(node, Pow):
-                b = visit(node.base)
+                b = names[node.base]
                 ex = node.exponent
                 if isinstance(ex, Const) and ex.is_rational and \
                         ex.value.denominator == 1:
@@ -1242,9 +1257,9 @@ def compile_fn(e: Expr, variables: Sequence[str]) -> Callable:
                         ex.value == Fraction(1, 2):
                     emit(f"{ref} = np.sqrt({b})")
                 else:
-                    emit(f"{ref} = {b} ** ({visit(ex)})")
+                    emit(f"{ref} = {b} ** ({names[ex]})")
             elif isinstance(node, Call):
-                a = visit(node.arg)
+                a = names[node.arg]
                 if node.fn == "cot":
                     emit(f"{ref} = np.cos({a}) / np.sin({a})")
                 elif node.fn == "csc":
@@ -1253,10 +1268,9 @@ def compile_fn(e: Expr, variables: Sequence[str]) -> Callable:
                     emit(f"{ref} = {_NP_FN[node.fn]}({a})")
             else:
                 raise TypeError(type(node))
-        names[id(node)] = ref
-        return ref
+        names[node] = ref
 
-    result = visit(e)
+    result = names[e]
     args = ", ".join(f"v_{v}" for v in variables)
     src = (
         f"def _generated({args}):\n"

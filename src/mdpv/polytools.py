@@ -20,7 +20,8 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .expr import (
-    Add, Call, Const, Expr, ExprError, Mul, Pow, Sym, add, con, mul, pow_,
+    Add, Call, Const, Expr, ExprError, Mul, Pow, Sym, add, con, mul,
+    postorder, pow_,
 )
 
 __all__ = [
@@ -87,11 +88,7 @@ def to_poly(e: Expr, variables: Sequence[str]) -> Poly:
     nv = len(variables)
     one_m = (0,) * nv
     memo: dict[Expr, Poly] = {}
-
-    def walk(t: Expr) -> Poly:
-        got = memo.get(t)
-        if got is not None:
-            return got
+    for t in postorder(e, memo):
         if isinstance(t, Const):
             if not t.is_rational:
                 raise NotPolynomial("float constant")
@@ -106,18 +103,18 @@ def to_poly(e: Expr, variables: Sequence[str]) -> Poly:
         elif isinstance(t, Add):
             r = {}
             for term in t.terms:
-                r = poly_add(r, walk(term))
+                r = poly_add(r, memo[term])
         elif isinstance(t, Mul):
             r = {one_m: Fraction(1)}
             for f in t.factors:
-                r = poly_mul(r, walk(f))
+                r = poly_mul(r, memo[f])
         elif isinstance(t, Pow):
             ex = t.exponent
             if not (isinstance(ex, Const) and ex.is_rational
                     and ex.value.denominator == 1):
                 raise NotPolynomial("non-integer exponent")
             n = int(ex.value)
-            base = walk(t.base)
+            base = memo[t.base]
             if n < 0:
                 # only a nonzero constant may sit in a denominator
                 if len(base) == 1 and one_m in base:
@@ -131,9 +128,7 @@ def to_poly(e: Expr, variables: Sequence[str]) -> Poly:
         else:
             raise TypeError(type(t))
         memo[t] = r
-        return r
-
-    return walk(e)
+    return memo[e]
 
 
 def poly_is_zero(p: Poly) -> bool:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .expr import (
     Call, Const, EvalError, Expr, compile_fn, con, cos, diff, evaluate,
-    exp, free_symbols, simplify, sqrt, sym, tan, tanh,
+    exp, postorder, simplify, sqrt, sym, tan, tanh,
 )
 from .residual import ResidualReport, find_zeros
 
@@ -213,27 +213,12 @@ def ode_residual_of(phi: Expr, spec: RiccatiSpec) -> Expr:
 
 
 def _has_negative_radicand(e: Expr) -> bool:
-    if isinstance(e, Call) and e.fn == "sqrt":
-        arg = simplify(e.arg)
-        if isinstance(arg, Const) and arg.value < 0:
-            return True
-    for child in _children(e):
-        if _has_negative_radicand(child):
-            return True
+    for t in postorder(e):
+        if isinstance(t, Call) and t.fn == "sqrt":
+            arg = simplify(t.arg)
+            if isinstance(arg, Const) and arg.value < 0:
+                return True
     return False
-
-
-def _children(e: Expr):
-    from .expr import Add, Mul, Pow
-    if isinstance(e, Add):
-        return e.terms
-    if isinstance(e, Mul):
-        return e.factors
-    if isinstance(e, Pow):
-        return (e.base, e.exponent)
-    if isinstance(e, Call):
-        return (e.arg,)
-    return ()
 
 
 def _admissible_points(branch_poles, window, n, seed,
@@ -307,14 +292,14 @@ def audit_printed_forms(n: int = 40, seed: int = 3,
             pts = _admissible_points(branch.pole_denoms, (-5.0, 5.0), n,
                                      seed)
             resid = ode_residual_of(printed, spec)
+            dprinted = diff(printed, "xi")
             vals = []
             dvals = []
             ok = True
             for x in pts:
                 try:
                     vals.append(evaluate(resid, {"xi": float(x)}))
-                    dvals.append(evaluate(diff(printed, "xi"),
-                                          {"xi": float(x)}))
+                    dvals.append(evaluate(dprinted, {"xi": float(x)}))
                 except EvalError:
                     ok = False
                     break

@@ -103,6 +103,21 @@ def test_deeply_nested_expr_is_a_usage_error(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_nested_expr_past_parser_ceiling_fails_fast():
+    # 200 levels are past the parser's ceiling at the default recursion
+    # limit; a fresh interpreter shows the limit the CLI really runs with
+    deep = "exp(" * 200 + "xi" + ")" * 200
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-m", "mdpv.cli", "verify",
+                          "--expr", deep, "--b", "3"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == EXIT_USAGE
+    assert out.stderr.startswith(
+        "error: --expr: expression nested too deeply")
+    assert len(out.stderr.splitlines()) == 1
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

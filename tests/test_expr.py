@@ -9,7 +9,11 @@ files.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,3 +441,86 @@ def test_pointwise_equal_oracle():
     assert not pointwise_equal(sin(2 * x), 2 * sin(x), {"x": (-3, 3)})
     assert pointwise_equal(cosh(x) ** 2 - E.sinh(x) ** 2, Const(1),
                            {"x": (-2, 2)})
+
+
+# ---------------------------------------------------------------------
+# traversal: trees deeper than the default recursion limit
+
+def test_import_leaves_recursion_limit_alone():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys; before = sys.getrecursionlimit(); "
+             "import mdpv.cli; print(before, sys.getrecursionlimit())")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    before, after = out.stdout.split()
+    assert after == before
+
+
+def test_postorder_yields_operands_first_and_each_node_once():
+    y = sym("y")
+    e = parse("sin(x) + x*sin(x) + y")
+    assert E.children(e) == (sin(X), X * sin(X), y)
+    assert E.children(X) == () and E.children(Const(2)) == ()
+    assert list(E.postorder(e)) == [X, sin(X), X * sin(X), y, e]
+    # a subtree whose root is in `done` is skipped, not its operands
+    # where they also sit elsewhere
+    assert list(E.postorder(e, {sin(X)})) == [X, X * sin(X), y, e]
+    assert list(E.postorder(e, {e})) == []
+
+
+def _chain(depth: int, leaf: E.Expr) -> E.Expr:
+    e = leaf
+    for i in range(depth):
+        e = E.call("sin" if i % 2 else "exp", e)
+    return e
+
+
+def test_deep_chain_runs_every_walker():
+    depth = 1100
+    chain, copy = _chain(depth, X), _chain(depth, sym("x"))
+    assert chain is not copy
+    assert depth > sys.getrecursionlimit()
+    # each comparison is named before its assert: a failing assert on
+    # the expression would render the tree with the recursive printer
+    same = chain == copy
+    assert same
+    differs = chain == _chain(depth, sym("y"))
+    assert not differs
+    assert free_symbols(chain) == {"x"}
+    moved = substitute_map(chain, {"x": sym("y")}) == _chain(depth, sym("y"))
+    assert moved
+    unchanged = simplify(chain) == copy
+    assert unchanged
+    d, d_copy = diff(chain, "x"), diff(copy, "x")
+    same_d = d == d_copy
+    assert same_d
+    assert isinstance(d, Mul) and len(d.factors) == depth
+
+    # the compiled chain and its derivative against the same numpy
+    # operations applied in a loop, outermost factor first
+    xs = np.linspace(-1.0, 1.0, 7)
+    inner = [xs]
+    for i in range(depth):
+        inner.append((np.sin if i % 2 else np.exp)(inner[-1]))
+    assert np.array_equal(compile_fn(chain, ["x"])(xs), inner[-1])
+    prod = None
+    for i in reversed(range(depth)):
+        factor = np.cos(inner[i]) if i % 2 else inner[i + 1]
+        prod = factor if prod is None else prod * factor
+    assert np.array_equal(compile_fn(d, ["x"])(xs), prod)
+
+
+def test_compiled_long_sum_is_a_left_to_right_accumulation():
+    n = 3000
+    coeffs = [1.0 / (k + 1) for k in range(n)]
+    e = E.add(*[E.mul(Const(c), E.pow_(X, k + 1))
+                for k, c in enumerate(coeffs)])
+    assert isinstance(e, Add) and len(e.terms) == n
+    xs = np.linspace(0.5, 1.0, 9)
+    want = None
+    for k, c in enumerate(coeffs):
+        term = np.float64(c) * xs ** (k + 1)
+        want = term if want is None else want + term
+    assert np.array_equal(compile_fn(e, ["x"])(xs), want)
