@@ -15,9 +15,10 @@ byte-identical documents.  JSON keys appear in fixed order and floats
 carry 17 significant digits; a non-finite measured residual or scale
 is written as null.  CSV files use shortest round-trip floats.
 
-Exit codes: 0 all requested checks passed; 1 usage error; 2 validity
-violation (excluded b, inadmissible or singular parameters, unstable
-step); 3 a scan or system verification failed; 4 numerical blow-up.
+Exit codes: 0 all requested checks passed; 1 usage error (a NaN or
+infinite number, or a ``--draws`` or ``--n`` below 1, among them);
+2 validity violation (excluded b, inadmissible or singular parameters,
+unstable step); 3 a scan or system verification failed; 4 numerical blow-up.
 The seed defaults to 42; the environment variable MDPV_SEED overrides
 the default and ``--seed`` overrides both.
 """
@@ -165,6 +166,32 @@ def _resolve_seed(flag_value: int | None) -> int:
     return DEFAULT_SEED
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and inf are usage errors,
+    not values a report could carry."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a number") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return v
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of ``--draws`` and ``--n``: zero draws would scan
+    nothing and report a pass, and a scan needs a point."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1, got {v}")
+    return v
+
+
 def _parse_assignments(pairs: list[str] | None, flag: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for item in pairs or ():
@@ -173,10 +200,9 @@ def _parse_assignments(pairs: list[str] | None, flag: str) -> dict[str, float]:
         if not sep or not name:
             raise UsageError(f"{flag} expects name=value, got {item!r}")
         try:
-            out[name] = float(value)
-        except ValueError:
-            raise UsageError(f"{flag} {name}: {value!r} is not a"
-                             " number") from None
+            out[name] = _finite_float(value)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{flag} {name}: {exc}") from None
     return out
 
 
@@ -185,9 +211,9 @@ def _parse_window(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise UsageError(f"--window expects 'a,b', got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"--window expects numbers, got {text!r}") from None
+        lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--window expects finite numbers: {exc}") from None
     if not lo < hi:
         raise UsageError(f"--window needs a < b, got {text!r}")
     return lo, hi
@@ -420,10 +446,11 @@ def cmd_system_verify(args) -> int:
         raise UsageError(f"{fid} was produced by the '{route}' route,"
                          f" not '{args.method}'")
     try:
-        b_values = [float(v) for v in args.b.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"--b expects comma-separated numbers,"
-                         f" got {args.b!r}") from None
+        b_values = [_finite_float(v) for v in args.b.split(",")
+                    if v.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--b expects comma-separated finite numbers:"
+                         f" {exc}") from None
     if not b_values:
         raise UsageError("--b lists no values")
     for b in b_values:
@@ -593,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       " an explicit profile")
     p.add_argument("--family", default=None,
                    help="family id u1..u23 or 'all' (default: all)")
-    p.add_argument("--b", type=float, required=True,
+    p.add_argument("--b", type=_finite_float, required=True,
                    help="equation parameter (b not in {-1, -2})")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="explicit family parameter (repeatable; all or"
@@ -602,12 +629,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="equation variant to scan against")
     p.add_argument("--expr", default=None, metavar="EXPR",
                    help="explicit profile U(xi) instead of a family")
-    p.add_argument("--speed", type=float, default=0.0,
+    p.add_argument("--speed", type=_finite_float, default=0.0,
                    help="wave speed for --expr (default 0)")
     p.add_argument("--window", default="-8,8", metavar="A,B")
-    p.add_argument("--n", type=int, default=257)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--draws", type=int, default=1,
+    p.add_argument("--n", type=_positive_int, default=257)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--draws", type=_positive_int, default=1,
                    help="seeded parameter draws per family (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -629,24 +656,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", action="append", metavar="NAME=DELTA",
                    help="offset a system unknown after substitution"
                         " (negative control)")
-    p.add_argument("--draws", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--draws", type=_positive_int, default=3)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     _add_common(p)
     p.set_defaults(func=cmd_system_verify)
 
     p = sub.add_parser("simulate",
                        help="manufactured-solution integration run")
     p.add_argument("--family", required=True)
-    p.add_argument("--b", type=float, default=3.0)
+    p.add_argument("--b", type=_finite_float, default=3.0)
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--N", type=int, default=512, help="grid points")
-    p.add_argument("--L", type=float, default=40.0, help="domain length")
-    p.add_argument("--dt", type=float, default=5e-4)
-    p.add_argument("--T", type=float, default=2.0, help="final time")
+    p.add_argument("--L", type=_finite_float, default=40.0,
+                   help="domain length")
+    p.add_argument("--dt", type=_finite_float, default=5e-4)
+    p.add_argument("--T", type=_finite_float, default=2.0,
+                   help="final time")
     p.add_argument("--scheme", choices=("spectral", "fd4"),
                    default="spectral")
     p.add_argument("--snapshots", type=int, default=5)
-    p.add_argument("--blowup-threshold", type=float, default=1e6,
+    p.add_argument("--blowup-threshold", type=_finite_float, default=1e6,
                    help="abort when the peak exceeds this (exit 4)")
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="write snapshot table to PATH")

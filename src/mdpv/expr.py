@@ -12,12 +12,16 @@ expands products, and it never converts an exact rational constant into a
 float.  Equality of expressions is structural; semantic equality is
 decided by the pointwise sampling oracle `pointwise_equal`.
 
-Trees are immutable and carry a deterministic structural hash computed
-at construction; nodes are not interned, so equal nodes that are
-distinct objects compare by a full walk.  `children` is the one
-description of the node layout and `postorder` the one traversal: each
-memoized walker is a loop over it that fills a dict keyed by structure,
-so tree depth is not bounded by the interpreter's recursion limit.
+Trees are immutable and hash-consed: construction looks a node up in a
+weak table keyed by its class and fields, so structurally equal trees
+are one object and equality is identity (Filliatre & Conchon, "Type-Safe
+Modular Hash-Consing", 2006).  Exact and float constants stay distinct.
+A node leaves the table when its last reference goes.  Each node also
+carries a deterministic structural hash, independent of PYTHONHASHSEED,
+that orders factors in `simplify`.  `children` is the one description
+of the node layout and `postorder` the one traversal: each memoized
+walker is a loop over it that fills a dict keyed by node, so tree depth
+is not bounded by the interpreter's recursion limit.
 `evaluate`, `evaluate_exact`, formatting and the parser keep no memo
 and recurse directly; `parse` bounds the depth of trees read from text.
 """
@@ -25,6 +29,7 @@ and recurse directly; `parse` bounds the depth of trees read from text.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from typing import (
     Callable, Container, Iterable, Iterator, Mapping, Sequence, Union,
@@ -98,7 +103,7 @@ def _str_hash(s: str) -> int:
 
 
 class Expr:
-    __slots__ = ("shash",)
+    __slots__ = ("shash", "__weakref__")
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -134,27 +139,37 @@ class Expr:
     def __hash__(self):
         return self.shash
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        if self.shash != other.shash:
-            return False
-        return _struct_eq(self, other)
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self):
         return f"<Expr {format_expr(self)}>"
 
 
+# every live node, keyed by its class and fields; a node leaves when its
+# last reference goes, so structurally equal nodes are one object
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _interned(key: tuple, *fields):
+    """The live node under `key`, whose first entry is its class, or a
+    new node of that class holding `fields` in the order of its
+    `__slots__`."""
+    node = _NODES.get(key)
+    if node is None:
+        cls = key[0]
+        node = object.__new__(cls)
+        for slot, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, slot, value)
+        object.__setattr__(node, "shash", node._digest())
+        _NODES[key] = node
+    return node
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: Number):
+    def __new__(cls, value: Number):
         if isinstance(value, bool):
             raise TypeError("bool is not a number")
         if isinstance(value, int):
@@ -164,16 +179,15 @@ class Const(Expr):
                 value = 0.0
         elif not isinstance(value, Fraction):
             raise TypeError(f"unsupported constant type {type(value)!r}")
-        object.__setattr__(self, "value", value)
-        if isinstance(value, Fraction):
-            h = _mix(1, hash(value.numerator), hash(value.denominator))
-        else:
-            h = _mix(2, int.from_bytes(
-                np.float64(value).tobytes(), "little", signed=False))
-        object.__setattr__(self, "shash", h)
+        # 1 == 1.0 in Python; the type keeps exact and float apart
+        return _interned((cls, type(value), value), value)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Const is immutable")
+    def _digest(self) -> int:
+        v = self.value
+        if isinstance(v, Fraction):
+            return _mix(1, hash(v.numerator), hash(v.denominator))
+        return _mix(2, int.from_bytes(np.float64(v).tobytes(), "little",
+                                      signed=False))
 
     @property
     def is_rational(self) -> bool:
@@ -183,62 +197,55 @@ class Const(Expr):
 class Sym(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         if not name or not (name[0].isalpha() or name[0] == "_"):
             raise ValueError(f"bad symbol name {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "shash", _mix(3, _str_hash(name)))
+        return _interned((cls, name), name)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Sym is immutable")
+    def _digest(self) -> int:
+        return _mix(3, _str_hash(self.name))
 
 
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "shash", _mix(4, *[t.shash for t in terms]))
+    def __new__(cls, terms: tuple):
+        return _interned((cls, terms), terms)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Add is immutable")
+    def _digest(self) -> int:
+        return _mix(4, *[t.shash for t in self.terms])
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "shash", _mix(5, *[f.shash for f in factors]))
+    def __new__(cls, factors: tuple):
+        return _interned((cls, factors), factors)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Mul is immutable")
+    def _digest(self) -> int:
+        return _mix(5, *[f.shash for f in self.factors])
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Expr):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "shash", _mix(6, base.shash, exponent.shash))
+    def __new__(cls, base: Expr, exponent: Expr):
+        return _interned((cls, base, exponent), base, exponent)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Pow is immutable")
+    def _digest(self) -> int:
+        return _mix(6, self.base.shash, self.exponent.shash)
 
 
 class Call(Expr):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: str, arg: Expr):
+    def __new__(cls, fn: str, arg: Expr):
         if fn not in FUNCTIONS:
             raise ValueError(f"unknown function {fn!r}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "shash", _mix(7, _str_hash(fn), arg.shash))
+        return _interned((cls, fn, arg), fn, arg)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Call is immutable")
+    def _digest(self) -> int:
+        return _mix(7, _str_hash(self.fn), self.arg.shash)
 
 
 def children(e: Expr) -> tuple:
@@ -255,11 +262,11 @@ def children(e: Expr) -> tuple:
 
 
 def postorder(e: Expr, done: Container = ()) -> Iterator[Expr]:
-    """Every structurally distinct node of `e` once, operands before
-    their parent, left to right, skipping subtrees whose root is in
-    `done` (a walker passes the memo it fills)."""
-    # a node is marked when its operands are pushed: no equal copy can
-    # turn up before it is yielded, as no tree holds a copy of itself
+    """Every distinct node of `e` once, operands before their parent,
+    left to right, skipping subtrees whose root is in `done` (a walker
+    passes the memo it fills)."""
+    # a node is marked when its operands are pushed: it cannot turn up
+    # again before it is yielded, as no tree contains itself
     seen: set[Expr] = set()
     stack: list = [e]
     while stack:
@@ -278,33 +285,6 @@ def postorder(e: Expr, done: Container = ()) -> Iterator[Expr]:
 
 # stack marker: the entry below it is a node whose operands are done
 _READY = object()
-
-
-def _struct_eq(a: Expr, b: Expr) -> bool:
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        cls = a.__class__
-        if cls is not b.__class__ or a.shash != b.shash:
-            return False
-        if cls is Const:
-            # 1 == 1.0 in Python; keep exact and float constants distinct
-            if not (type(a.value) is type(b.value) and a.value == b.value):
-                return False
-            continue
-        if cls is Sym:
-            if a.name != b.name:
-                return False
-            continue
-        if cls is Call and a.fn != b.fn:
-            return False
-        ka, kb = children(a), children(b)
-        if len(ka) != len(kb):
-            return False
-        stack.extend(zip(ka, kb))
-    return True
 
 
 # ---------------------------------------------------------------------
@@ -923,21 +903,21 @@ def _diff_node(t: Expr, name: str, d: Mapping[Expr, Expr]) -> Expr:
         fs = t.factors
         for i, f in enumerate(fs):
             df = d[f]
-            if df is ZERO or df == ZERO:
+            if df is ZERO:
                 continue
             parts.append(mul(*fs[:i], df, *fs[i + 1:]))
         return add(*parts) if parts else ZERO
     if isinstance(t, Pow):
         b, x = t.base, t.exponent
         db, dx = d[b], d[x]
-        if dx == ZERO:
+        if dx is ZERO:
             # d(b^c) = c*b^(c-1)*db
-            return mul(x, pow_(b, add(x, -1)), db) if db != ZERO else ZERO
+            return mul(x, pow_(b, add(x, -1)), db) if db is not ZERO else ZERO
         # general: b^x * (dx*log(b) + x*db/b)
         return mul(t, add(mul(dx, log(b)), mul(x, db, pow_(b, -1))))
     if isinstance(t, Call):
         da = d[t.arg]
-        if da == ZERO:
+        if da is ZERO:
             return ZERO
         return mul(_CALL_DERIV[t.fn](t, t.arg), da)
     raise TypeError(type(t))
@@ -1278,7 +1258,8 @@ def compile_fn(e: Expr, variables: Sequence[str]) -> Callable:
         + "\n".join(lines) + ("\n" if lines else "")
         + f"        return {result}\n"
     )
-    namespace: dict = {"np": np}
+    # a non-finite constant is emitted as np.float64(inf) or (nan)
+    namespace: dict = {"np": np, "inf": math.inf, "nan": math.nan}
     exec(compile(src, f"<expr:{id(e)}>", "exec"), namespace)
     raw = namespace["_generated"]
 

@@ -363,8 +363,10 @@ def run(inst: FamilyInstance, cfg: SimConfig, grid: Grid) -> SimReport:
         raise ValueError(f"dt = {cfg.dt:.3e} exceeds the step-size "
                          f"guard {guard:.3e} for this initial state")
 
-    snap_steps = sorted({int(round(s)) for s in
-                         np.linspace(0, n_steps, cfg.snapshots)})
+    # a spacing of at most one step already hits every step, so more
+    # points than steps add nothing but memory
+    snap_steps = sorted({int(round(s)) for s in np.linspace(
+        0, n_steps, min(cfg.snapshots, n_steps + 1))})
     state = SimState.of(0.0, u0, grid)
     mass0 = state.mass
     mass_scale = max(abs(mass0), grid.dx * float(np.abs(u0).sum()),

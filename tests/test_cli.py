@@ -80,11 +80,34 @@ def test_render_json_rejects_nonfinite():
      "--b", "x,y"],
     ["simulate", "--family", "u6", "--N", "100"],
     ["simulate", "--family", "u6", "--dt", "1e-3", "--T", "0.0015"],
+    # non-finite floats and empty counts, with --json on so that a report
+    # of such a value would reach the renderer
+    ["verify", "--family", "u3", "--b", "inf", "--json"],
+    ["verify", "--family", "u3", "--b", "3", "--tol", "inf", "--json"],
+    ["verify", "--expr", "xi", "--b", "3", "--speed", "nan", "--json"],
+    ["verify", "--family", "u3", "--b", "3", "--draws", "-2", "--json"],
+    ["verify", "--family", "u3", "--b", "3", "--n", "-3", "--json"],
+    ["verify", "--family", "u3", "--b", "3", "--window=0,inf", "--json"],
+    ["verify", "--family", "u1", "--b", "3", "--param", "mu=nan",
+     "--json"],
+    ["system-verify", "--method", "colehopf", "--family", "u1",
+     "--tol", "nan", "--json"],
+    ["system-verify", "--method", "colehopf", "--family", "u1",
+     "--b", "0,inf", "--json"],
+    ["system-verify", "--method", "colehopf", "--family", "u1",
+     "--draws", "0", "--json"],
+    ["system-verify", "--method", "tanhcoth", "--family", "u20",
+     "--perturb", "a0=inf", "--json"],
+    ["simulate", "--family", "u6", "--b", "nan", "--json"],
+    ["simulate", "--family", "u6", "--dt", "inf", "--json"],
+    ["simulate", "--family", "u6", "--T", "-inf", "--json"],
+    ["simulate", "--family", "u6", "--L", "nan", "--json"],
+    ["simulate", "--family", "u6", "--blowup-threshold", "inf", "--json"],
 ])
 def test_usage_errors(capsys, argv):
     rc, _out, err = run_cli(capsys, argv)
     assert rc == EXIT_USAGE
-    assert err.startswith("error:")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_bad_seed_env(capsys, monkeypatch):
@@ -190,6 +213,24 @@ def test_perturbed_system_exits_3(capsys):
                                   "--perturb", "a0=1e-3"])
     assert rc == EXIT_FAIL
     assert "VIOLATED" in out
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--family", "u3", "--b", "3"], EXIT_OK),
+    (["verify", "--family", "u3", "--b", "nan"], EXIT_USAGE),
+    (["verify", "--family", "u3", "--b", "3", "--draws", "0"], EXIT_USAGE),
+    (["verify", "--family", "u3", "--b", "-1"], EXIT_INVALID),
+    (["verify", "--expr", "1/xi", "--b", "3"], EXIT_FAIL),
+    (["simulate", "--family", "u6", "--T", "0.01",
+      "--blowup-threshold", "0.01"], EXIT_BLOWUP),
+])
+def test_every_exit_code_with_json(capsys, argv, code):
+    rc, out, err = run_cli(capsys, argv + ["--json"])
+    assert rc == code
+    if code in (EXIT_OK, EXIT_FAIL):
+        json.loads(out[out.index("{"):])
+    else:
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_singular_family_simulation_exits_2(capsys):

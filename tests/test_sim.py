@@ -359,6 +359,16 @@ def test_run_mass_conservation_other_family():
     assert rep.linf_error <= 1e-6
 
 
+def test_run_snapshots_are_capped_by_the_steps():
+    # two steps: every request of three or more points hits each step
+    reps = [run(_u6(), SimConfig(b=3.0, dt=1e-3, t_final=2e-3,
+                                 snapshots=k), Grid(256, 40.0))
+            for k in (3, 10 ** 6)]
+    assert reps[0].summary() == reps[1].summary()
+    times = [[snap.t for snap in rep.snapshots] for rep in reps]
+    assert times[0] == times[1] and len(times[0]) == 3
+
+
 def test_run_rejects_singular_profile():
     with pytest.raises(InadmissibleFamilyError):
         run(FamilyInstance("u5", 3.0, {}),
