@@ -24,6 +24,7 @@ nonlinear solver is included.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -322,7 +323,6 @@ def cole_hopf_build(amplitude, background, wavenumber, speed, phase):
 
 _CH_UNKNOWNS = ("amp", "bg", "mu", "lam")
 _CH_VARS = ("z", "amp", "bg", "mu", "lam", "b")
-_SYSTEM_CACHE: dict[str, AlgebraicSystem] = {}
 
 
 def _euler_step(num: Expr, den_pow: int, scale: Expr, den: Expr,
@@ -335,10 +335,8 @@ def _euler_step(num: Expr, den_pow: int, scale: Expr, den: Expr,
     return new, den_pow + 1
 
 
+@functools.cache
 def _cole_hopf_system_symbolic() -> AlgebraicSystem:
-    got = _SYSTEM_CACHE.get("colehopf")
-    if got is not None:
-        return got
     z = Sym("z")
     A, B, mu, lam, b = (Sym(s) for s in ("amp", "bg", "mu", "lam", "b"))
     w = add(con(1), z)
@@ -362,13 +360,11 @@ def _cole_hopf_system_symbolic() -> AlgebraicSystem:
         mul(con(-1), P0, P3),
     )
     groups = _collect_powers(total, _CH_VARS)
-    system = _assemble_system(
+    return _assemble_system(
         "colehopf", "exponential of the phase", _CH_UNKNOWNS, groups,
         _CH_VARS[1:], ("amp", "mu"),
         "multiplied by (1+z)^7; amp/mu monomial factors stripped "
         "(both are nonzero by construction); rational content removed")
-    _SYSTEM_CACHE["colehopf"] = system
-    return system
 
 
 def cole_hopf_system(b="b") -> AlgebraicSystem:
@@ -393,10 +389,8 @@ _HYP_UNKNOWNS = ("lam", "a0", "a1", "a2", "c1", "c2")
 _HYP_VARS = ("z", "lam", "a0", "a1", "a2", "c1", "c2", "b")
 
 
+@functools.cache
 def _rational_hyperbolic_system_symbolic() -> AlgebraicSystem:
-    got = _SYSTEM_CACHE.get("hyperbolic")
-    if got is not None:
-        return got
     z = Sym("z")
     lam, a0, a1, a2, c1, c2, b = (Sym(s) for s in _HYP_VARS[1:])
     # numerator and denominator scaled by 2 e^xi, in z = e^xi
@@ -419,14 +413,12 @@ def _rational_hyperbolic_system_symbolic() -> AlgebraicSystem:
         mul(con(-1), b, N1, N2),
     )
     groups = _collect_powers(total, _HYP_VARS)
-    system = _assemble_system(
+    return _assemble_system(
         "hyperbolic", "exponential of the wave variable", _HYP_UNKNOWNS,
         groups, _HYP_VARS[1:], (),
         "multiplied by denominator^5 in the exponential variable; "
         "common exponential powers dropped (collection variable is "
         "nonvanishing); rational content removed")
-    _SYSTEM_CACHE["hyperbolic"] = system
-    return system
 
 
 def rational_hyperbolic_system(b="b") -> AlgebraicSystem:
@@ -476,23 +468,19 @@ _TC_UNKNOWNS = ("lam", "a0", "a1", "a2", "c1", "c2", "alpha", "beta",
 _TC_VARS = _TC_UNKNOWNS + ("b",)
 
 
+@functools.cache
 def _tanh_coth_system_symbolic() -> AlgebraicSystem:
-    got = _SYSTEM_CACHE.get("tanhcoth")
-    if got is not None:
-        return got
     syms = {n: Sym(n) for n in _TC_VARS}
     L = laurent_residual(*(syms[n] for n in
                            ("a0", "a1", "a2", "c1", "c2", "alpha",
                             "beta", "gamma", "lam", "b")))
     groups = {k: pt.to_poly(c, _TC_VARS) for k, c in L.items()}
-    system = _assemble_system(
+    return _assemble_system(
         "tanhcoth", "kernel function of the quadratic ODE",
         _TC_UNKNOWNS, groups, _TC_VARS, (),
         "kernel powers collected directly from the Laurent residual; "
         "powers quoted before the phi^7 clearing shift; rational "
         "content removed")
-    _SYSTEM_CACHE["tanhcoth"] = system
-    return system
 
 
 def tanh_coth_system(b="b") -> AlgebraicSystem:

@@ -7,6 +7,8 @@ Subcommands
     riccati-audit   printed-vs-corrected kernel branch table
     system-verify   coefficient-system annihilation for one family
     simulate        manufactured-solution integration run
+    audit           residual scans and system checks of every family at
+                    several b values, plus the kernel-branch table
 
 Every invocation resolves to a run manifest (command, seed, tool
 version, resolved parameters, output paths) embedded in any JSON
@@ -16,9 +18,10 @@ carry 17 significant digits; a non-finite measured residual or scale
 is written as null.  CSV files use shortest round-trip floats.
 
 Exit codes: 0 all requested checks passed; 1 usage error (a NaN or
-infinite number, or a ``--draws`` or ``--n`` below 1, among them);
-2 validity violation (excluded b, inadmissible or singular parameters,
-unstable step); 3 a scan or system verification failed; 4 numerical blow-up.
+infinite number, a ``--draws`` or ``--n`` below 1, or a run past the
+step budget, among them); 2 validity violation (excluded b, inadmissible
+or singular parameters, unstable step); 3 a scan, system check or
+corrected kernel branch failed; 4 numerical blow-up.
 The seed defaults to 42; the environment variable MDPV_SEED overrides
 the default and ``--seed`` overrides both.
 """
@@ -48,7 +51,7 @@ from .sim import BlowUpError, Grid, InadmissibleFamilyError, SimConfig, \
     run, write_snapshots_csv
 
 __all__ = [
-    "main", "render_json", "UsageError",
+    "main", "render_json", "UsageError", "ValidityError",
     "EXIT_OK", "EXIT_USAGE", "EXIT_INVALID", "EXIT_FAIL", "EXIT_BLOWUP",
 ]
 
@@ -63,9 +66,21 @@ SEED_ENV_VAR = "MDPV_SEED"
 
 METHOD_CHOICES = tuple(dict.fromkeys(ROUTES.values()))
 
+# defaults of the single checks; `audit` runs every check at these
+SCAN_WINDOW = "-8,8"
+SCAN_N = 257
+SCAN_TOL = 1e-9
+SYSTEM_TOL = 1e-10
+B_LIST = "0,0.5,1,3"
+DRAWS = 3
+
 
 class UsageError(Exception):
     """Bad flags or flag values; maps to exit code 1."""
+
+
+class ValidityError(Exception):
+    """Excluded b or inadmissible parameters; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,6 +132,18 @@ def _measured(v: float) -> float | None:
     """A measured value for a report row; a non-finite one (a scan that
     hit a pole) is reported as null."""
     return float(v) if math.isfinite(v) else None
+
+
+def _scan_fields(report: ResidualReport) -> dict:
+    """What a residual scan measured, as the tail of a report row."""
+    return {
+        "max_abs_residual": _measured(report.max_abs_residual),
+        "scale": _measured(report.scale),
+        "tolerance": report.tolerance,
+        "points_evaluated": report.points_evaluated,
+        "points_excluded": report.points_excluded,
+        "passed": report.passed,
+    }
 
 
 def _manifest(command: str, seed: int, parameters: dict,
@@ -219,6 +246,25 @@ def _parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _valid_b(b: float) -> float:
+    try:
+        require_valid_b(b)
+    except ValueError as exc:
+        raise ValidityError(str(exc)) from None
+    return b
+
+
+def _parse_b_list(text: str) -> list[float]:
+    try:
+        b_values = [_finite_float(v) for v in text.split(",") if v.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--b expects comma-separated finite numbers:"
+                         f" {exc}") from None
+    if not b_values:
+        raise UsageError("--b lists no values")
+    return [_valid_b(b) for b in b_values]
+
+
 def _known_family(fid: str) -> str:
     try:
         family(fid)
@@ -227,11 +273,16 @@ def _known_family(fid: str) -> str:
     return fid
 
 
+def _family_rng(seed: int, fid: str) -> np.random.Generator:
+    return np.random.default_rng([seed, int(fid[1:])])
+
+
 def _resolve_param_sets(fid: str, b: float, provided: dict[str, float],
-                        seed: int, draws: int) -> list[dict[str, float]]:
-    """Explicit values must cover the family's parameters exactly;
-    otherwise draw seeded admissible sets (one run if there is nothing
-    to draw)."""
+                        rng: np.random.Generator, draws: int
+                        ) -> list[dict[str, float]]:
+    """Explicit values must cover the family's parameters exactly and
+    be admissible; otherwise draw `draws` admissible sets from `rng`
+    (one run if there is nothing to draw)."""
     names = family(fid).parameters
     if provided:
         missing = set(names) - set(provided)
@@ -240,10 +291,14 @@ def _resolve_param_sets(fid: str, b: float, provided: dict[str, float],
             raise UsageError(
                 f"{fid} takes exactly --param {{{', '.join(names)}}};"
                 f" missing {sorted(missing)}, unknown {sorted(extra)}")
-        return [{p: provided[p] for p in names}]
+        params = {p: provided[p] for p in names}
+        ok, bad = is_valid(fid, b, params)
+        if not ok:
+            raise ValidityError(f"{fid} parameters violate:"
+                                f" {', '.join(bad)}")
+        return [params]
     if not names:
         return [{}]
-    rng = np.random.default_rng([seed, int(fid[1:])])
     return [draw_params(fid, rng, b) for _ in range(draws)]
 
 
@@ -313,28 +368,32 @@ def _verify_expression(args, seed: int) -> int:
             "n": args.n,
             "tol": args.tol,
         }, _json_outputs(args)),
-        "results": [{
-            "expr": args.expr,
-            "b": args.b,
-            "max_abs_residual": _measured(report.max_abs_residual),
-            "scale": _measured(report.scale),
-            "tolerance": report.tolerance,
-            "points_evaluated": report.points_evaluated,
-            "points_excluded": report.points_excluded,
-            "passed": report.passed,
-        }],
+        "results": [{"expr": args.expr, "b": args.b,
+                     **_scan_fields(report)}],
         "all_passed": report.passed,
     }
     _emit_json(doc, args.json)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+def _scan_rows(fid: str, b: float, provided: dict[str, float],
+               rng: np.random.Generator, draws: int,
+               window: tuple[float, float], n: int, tol: float,
+               variant: str):
+    """Residual scans of one family at one b: yields a report row and
+    its text line per parameter set."""
+    for params in _resolve_param_sets(fid, b, provided, rng, draws):
+        report = verify_family(fid, b, params, window=window, n=n,
+                               tol=tol, variant=variant)
+        shown = ", ".join(f"{k}={v:g}" for k, v in params.items())
+        label = f"{fid} b={b:g}" + (f" [{shown}]" if shown else "")
+        yield ({"family": fid, "b": b, "params": params,
+                **_scan_fields(report)}, report.line(label))
+
+
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
-    try:
-        require_valid_b(args.b)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INVALID)
+    _valid_b(args.b)
     if args.expr is not None:
         if args.family is not None:
             raise UsageError("--expr and --family are exclusive")
@@ -348,32 +407,13 @@ def cmd_verify(args) -> int:
     window = _parse_window(args.window)
 
     results = []
-    all_passed = True
     for fid in fids:
-        for params in _resolve_param_sets(fid, args.b, provided, seed,
-                                          args.draws):
-            ok, bad = is_valid(fid, args.b, params)
-            if not ok:
-                return _fail(f"{fid} parameters violate:"
-                             f" {', '.join(bad)}", EXIT_INVALID)
-            report = verify_family(fid, args.b, params, window=window,
-                                   n=args.n, tol=args.tol,
-                                   variant=args.variant)
-            shown = ", ".join(f"{k}={v:g}" for k, v in params.items())
-            _print(report.line(f"{fid} b={args.b:g}"
-                               + (f" [{shown}]" if shown else "")))
-            results.append({
-                "family": fid,
-                "b": args.b,
-                "params": params,
-                "max_abs_residual": _measured(report.max_abs_residual),
-                "scale": _measured(report.scale),
-                "tolerance": report.tolerance,
-                "points_evaluated": report.points_evaluated,
-                "points_excluded": report.points_excluded,
-                "passed": report.passed,
-            })
-            all_passed = all_passed and report.passed
+        for row, line in _scan_rows(fid, args.b, provided,
+                                    _family_rng(seed, fid), args.draws,
+                                    window, args.n, args.tol, args.variant):
+            _print(line)
+            results.append(row)
+    all_passed = all(row["passed"] for row in results)
     _print(f"{'all passed' if all_passed else 'FAILURES'}"
            f" ({len(results)} scans)")
     doc = {
@@ -397,8 +437,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------
 # riccati-audit
 
-def cmd_riccati_audit(args) -> int:
-    seed = _resolve_seed(args.seed)
+def _riccati_table() -> list[dict]:
+    """Print the printed-vs-corrected kernel branch table; returns its
+    report rows."""
     rows = audit_printed_forms()
     _print(f"{'case':5} {'(alpha,beta,gamma)':20} {'printed':18}"
            f" {'corrected':18} note")
@@ -417,69 +458,43 @@ def cmd_riccati_audit(args) -> int:
     corrected_ok = all(r["corrected_passes"] for r in rows)
     _print(f"corrected branches: "
            f"{'all pass' if corrected_ok else 'FAILURES'}")
+    return [{
+        "case": r["case"],
+        "alpha_beta_gamma": list(r["spec"]),
+        "printed_passes": r["printed_passes"],
+        "max_residual_printed": r["max_residual_printed"],
+        "max_residual_corrected": r["max_residual_corrected"],
+        "corrected_passes": r["corrected_passes"],
+        "matches_printed": r["matches_printed"],
+    } for r in rows]
+
+
+def cmd_riccati_audit(args) -> int:
+    seed = _resolve_seed(args.seed)
+    rows = _riccati_table()
+    corrected_ok = all(r["corrected_passes"] for r in rows)
     doc = {
         "manifest": _manifest("riccati-audit", seed, {},
                               _json_outputs(args)),
-        "rows": [{
-            "case": r["case"],
-            "alpha_beta_gamma": list(r["spec"]),
-            "printed_passes": r["printed_passes"],
-            "max_residual_printed": r["max_residual_printed"],
-            "max_residual_corrected": r["max_residual_corrected"],
-            "corrected_passes": r["corrected_passes"],
-            "matches_printed": r["matches_printed"],
-        } for r in rows],
+        "rows": rows,
         "all_corrected_pass": corrected_ok,
     }
     _emit_json(doc, args.json)
-    return EXIT_OK
+    return EXIT_OK if corrected_ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------
 # system-verify
 
-def cmd_system_verify(args) -> int:
-    seed = _resolve_seed(args.seed)
-    fid = _known_family(args.family)
-    route = method_tag(fid)
-    if route != args.method:
-        raise UsageError(f"{fid} was produced by the '{route}' route,"
-                         f" not '{args.method}'")
-    try:
-        b_values = [_finite_float(v) for v in args.b.split(",")
-                    if v.strip()]
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"--b expects comma-separated finite numbers:"
-                         f" {exc}") from None
-    if not b_values:
-        raise UsageError("--b lists no values")
+def _system_rows(fid: str, system, b_values: list[float],
+                 provided: dict[str, float], perturb: dict[str, float],
+                 rng: np.random.Generator, draws: int, tol: float):
+    """Evaluate the route's system at each parameter set of one family,
+    all b values drawn from one `rng`: yields a check row and its text
+    line per set."""
     for b in b_values:
-        try:
-            require_valid_b(b)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_INVALID)
-    provided = _parse_assignments(args.param, "--param")
-    perturb = _parse_assignments(args.perturb, "--perturb")
-
-    system = system_for_family(fid)
-    _print(f"{fid}: {len(system)} coefficient equations in"
-           f" {system.variable} ({route} route,"
-           f" {len(system.distinct)} distinct)")
-    rng = np.random.default_rng([seed, int(fid[1:])])
-    checks = []
-    all_passed = True
-    for b in b_values:
-        if provided:
-            sets = _resolve_param_sets(fid, b, provided, seed, 1)
-            ok, bad = is_valid(fid, b, sets[0])
-            if not ok:
-                return _fail(f"{fid} parameters violate:"
-                             f" {', '.join(bad)}", EXIT_INVALID)
-        elif family(fid).parameters:
-            sets = [draw_params(fid, rng, b) for _ in range(args.draws)]
-        else:
-            sets = [{}]
-        for i, params in enumerate(sets):
+        for i, params in enumerate(_resolve_param_sets(fid, b, provided,
+                                                       rng, draws)):
             aux = {"alpha": float(rng.uniform(0.5, 2.0))} \
                 if fid == "u11" else None
             env = family_system_env(fid, b, params, aux)
@@ -490,19 +505,40 @@ def cmd_system_verify(args) -> int:
                 env[key] += delta
             max_abs = system.max_abs_at(env)
             scale = system.scale_at(env)
-            passed = max_abs <= args.tol * (1.0 + scale)
-            verdict = "pass" if passed else "FAIL"
-            _print(f"  b={b:g} set {i}: max|eq| = {max_abs:.3e}"
-                   f"  scale = {scale:.3e}  {verdict}")
-            checks.append({
+            passed = max_abs <= tol * (1.0 + scale)
+            yield {
                 "b": b,
                 "params": params,
                 "perturb": dict(perturb),
                 "max_abs": max_abs,
                 "scale": scale,
                 "passed": passed,
-            })
-            all_passed = all_passed and passed
+            }, (f"  b={b:g} set {i}: max|eq| = {max_abs:.3e}"
+                f"  scale = {scale:.3e}  {'pass' if passed else 'FAIL'}")
+
+
+def cmd_system_verify(args) -> int:
+    seed = _resolve_seed(args.seed)
+    fid = _known_family(args.family)
+    route = method_tag(fid)
+    if route != args.method:
+        raise UsageError(f"{fid} was produced by the '{route}' route,"
+                         f" not '{args.method}'")
+    b_values = _parse_b_list(args.b)
+    provided = _parse_assignments(args.param, "--param")
+    perturb = _parse_assignments(args.perturb, "--perturb")
+
+    system = system_for_family(fid)
+    _print(f"{fid}: {len(system)} coefficient equations in"
+           f" {system.variable} ({route} route,"
+           f" {len(system.distinct)} distinct)")
+    checks = []
+    for row, line in _system_rows(fid, system, b_values, provided, perturb,
+                                  _family_rng(seed, fid), args.draws,
+                                  args.tol):
+        _print(line)
+        checks.append(row)
+    all_passed = all(row["passed"] for row in checks)
     _print("system annihilated" if all_passed else "system VIOLATED")
     doc = {
         "manifest": _manifest("system-verify", seed, {
@@ -529,17 +565,67 @@ def cmd_system_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------
+# audit
+
+def cmd_audit(args) -> int:
+    seed = _resolve_seed(args.seed)
+    b_values = _parse_b_list(args.b)
+    window = _parse_window(SCAN_WINDOW)
+    scans, systems, failures = [], [], 0
+    for fid in family_ids():
+        # the scans draw a fresh stream per (family, b), as `verify --b B`
+        # does; the system checks one stream across the b list, as
+        # `system-verify --b LIST` does
+        rows = [pair for b in b_values for pair in _scan_rows(
+            fid, b, {}, _family_rng(seed, fid), args.draws, window, SCAN_N,
+            SCAN_TOL, "mdp")]
+        checks = list(_system_rows(fid, system_for_family(fid), b_values,
+                                   {}, {}, _family_rng(seed, fid),
+                                   args.draws, SYSTEM_TOL))
+        for row, line in rows + checks:
+            if not row["passed"]:
+                failures += 1
+                _print(f"  FAILED {fid}: {line.strip()}")
+        verdicts = ["pass" if all(row["passed"] for row, _ in pairs)
+                    else "FAIL" for pairs in (rows, checks)]
+        _print(f"{fid:4} {len(rows)} scans {verdicts[0]},"
+               f" {len(checks)} system checks {verdicts[1]}")
+        scans += [row for row, _ in rows]
+        systems.append({"family": fid, "method": method_tag(fid),
+                        "checks": [row for row, _ in checks],
+                        "all_passed": verdicts[1] == "pass"})
+    riccati = _riccati_table()
+    failures += sum(not row["corrected_passes"] for row in riccati)
+    _print("ALL CHECKS PASSED" if not failures else f"{failures} FAILURES")
+    doc = {
+        "manifest": _manifest("audit", seed, {
+            "b": b_values,
+            "draws": args.draws,
+            "variant": "mdp",
+            "window": list(window),
+            "n": SCAN_N,
+            "scan_tol": SCAN_TOL,
+            "system_tol": SYSTEM_TOL,
+        }, _json_outputs(args)),
+        "scans": scans,
+        "systems": systems,
+        "riccati": riccati,
+        "all_passed": not failures,
+    }
+    _emit_json(doc, args.json)
+    return EXIT_OK if not failures else EXIT_FAIL
+
+
+# ---------------------------------------------------------------------
 # simulate
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
-    try:
-        require_valid_b(args.b)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INVALID)
+    _valid_b(args.b)
     fid = _known_family(args.family)
     provided = _parse_assignments(args.param, "--param")
-    params = _resolve_param_sets(fid, args.b, provided, seed, 1)[0]
+    params = _resolve_param_sets(fid, args.b, provided,
+                                 _family_rng(seed, fid), 1)[0]
     try:
         instance = FamilyInstance(fid, args.b, params)
     except ValueError as exc:
@@ -560,7 +646,7 @@ def cmd_simulate(args) -> int:
                      EXIT_BLOWUP)
     except ValueError as exc:
         # the stability guard is a validity refusal; anything else
-        # (horizon/step mismatch) is a flag problem
+        # (horizon/step mismatch, step budget) is a flag problem
         if "guard" in str(exc):
             return _fail(str(exc), EXIT_INVALID)
         raise UsageError(str(exc)) from None
@@ -631,9 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit profile U(xi) instead of a family")
     p.add_argument("--speed", type=_finite_float, default=0.0,
                    help="wave speed for --expr (default 0)")
-    p.add_argument("--window", default="-8,8", metavar="A,B")
-    p.add_argument("--n", type=_positive_int, default=257)
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--window", default=SCAN_WINDOW, metavar="A,B")
+    p.add_argument("--n", type=_positive_int, default=SCAN_N)
+    p.add_argument("--tol", type=_finite_float, default=SCAN_TOL)
     p.add_argument("--draws", type=_positive_int, default=1,
                    help="seeded parameter draws per family (default 1)")
     _add_common(p)
@@ -649,15 +735,15 @@ def build_parser() -> argparse.ArgumentParser:
                             " family")
     p.add_argument("--method", choices=METHOD_CHOICES, required=True)
     p.add_argument("--family", required=True)
-    p.add_argument("--b", default="0,0.5,1,3", metavar="B1,B2,...",
-                   help="comma-separated b values (default 0,0.5,1,3)")
+    p.add_argument("--b", default=B_LIST, metavar="B1,B2,...",
+                   help=f"comma-separated b values (default {B_LIST})")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="explicit family parameter (repeatable)")
     p.add_argument("--perturb", action="append", metavar="NAME=DELTA",
                    help="offset a system unknown after substitution"
                         " (negative control)")
-    p.add_argument("--draws", type=_positive_int, default=3)
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
+    p.add_argument("--draws", type=_positive_int, default=DRAWS)
+    p.add_argument("--tol", type=_finite_float, default=SYSTEM_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_system_verify)
 
@@ -681,6 +767,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write snapshot table to PATH")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
+
+    p = sub.add_parser("audit",
+                       help="every scan, system check and kernel branch"
+                            " at several b values")
+    p.add_argument("--b", default=B_LIST, metavar="B1,B2,...",
+                   help=f"comma-separated b values (default {B_LIST})")
+    p.add_argument("--draws", type=_positive_int, default=DRAWS,
+                   help=f"draws per family and b (default {DRAWS})")
+    _add_common(p)
+    p.set_defaults(func=cmd_audit)
+    parser.set_defaults(func=lambda _args: _fail(
+        f"a subcommand is required ({', '.join(sub.choices)})", EXIT_USAGE))
     return parser
 
 
@@ -688,13 +786,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            raise UsageError("a subcommand is required"
-                             " (list, verify, riccati-audit,"
-                             " system-verify, simulate)")
         return args.func(args)
     except UsageError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except ValidityError as exc:
+        return _fail(str(exc), EXIT_INVALID)
 
 
 if __name__ == "__main__":

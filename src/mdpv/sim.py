@@ -17,12 +17,12 @@ interchangeable spatial discretizations sit behind a scheme tag:
 Both are applied as multipliers from one table of Fourier symbols, and
 the Helmholtz inverse is exact division by the symbol of (1 - dxx).
 
-Time stepping is classical RK4 with a step-size guard checked at run
-start and a blow-up sentinel checked every step.  A run integrates a
-catalog instance as a manufactured solution: it reports the final
-sup-norm error against the exact translated profile, the relative
-drift of the conserved mean, and the wave speed measured by tracking
-the profile extremum with sub-grid quadratic interpolation.
+Time stepping is classical RK4 with a step budget and a step-size
+guard checked at run start and a blow-up sentinel checked every step.
+A run integrates a catalog instance as a manufactured solution: it
+reports the final sup-norm error against the exact translated profile,
+the relative drift of the conserved mean, and the wave speed measured
+by tracking the profile extremum with sub-grid quadratic interpolation.
 """
 
 from __future__ import annotations
@@ -41,10 +41,14 @@ __all__ = [
     "Grid", "SimState", "SimConfig", "Snapshot", "SimReport",
     "BlowUpError", "InadmissibleFamilyError", "SCHEMES",
     "helmholtz_solve", "flux_divergence", "rhs", "step_rk4", "run",
-    "cfl_limit", "write_snapshots_csv",
+    "cfl_limit", "write_snapshots_csv", "MAX_STEPS",
 ]
 
 SCHEMES = ("spectral", "fd4")
+
+# step budget of one run, checked before any work: the longest run of
+# the examples and tests takes 8 000 steps, the CLI defaults 4 000
+MAX_STEPS = 1_000_000
 
 
 class BlowUpError(RuntimeError):
@@ -346,6 +350,9 @@ def run(inst: FamilyInstance, cfg: SimConfig, grid: Grid) -> SimReport:
     its exact translate."""
     if cfg.dt <= 0:
         raise ValueError("a run needs dt > 0")
+    if cfg.t_final / cfg.dt > MAX_STEPS:
+        raise ValueError(f"t_final / dt asks for more than {MAX_STEPS}"
+                         f" steps")
     n_steps = int(round(cfg.t_final / cfg.dt))
     if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.dt:
         raise ValueError("t_final must be a positive integer multiple "
