@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Add, Expr, Sym, add, con, cosh, diff, evaluate, evaluate_exact, exp,
-    format_expr, free_symbols, log, mul, pow_, simplify, sinh,
-    substitute_map,
+    Add, ExactnessError, Expr, Sym, _exact_root, add, con, cosh, diff,
+    evaluate, evaluate_exact, exp, format_expr, free_symbols, log, mul,
+    pow_, simplify, sinh, substitute_map,
 )
 from . import polytools as pt
 from .catalog import method_tag
@@ -496,9 +496,10 @@ def _sqrt_checked(v, what: str):
         raise ValueError(f"negative radicand for {what}: {v}")
     if isinstance(v, Fraction):
         # keep perfect squares exact so rational maps stay rational
-        rn, rd = math.isqrt(v.numerator), math.isqrt(v.denominator)
-        if rn * rn == v.numerator and rd * rd == v.denominator:
-            return Fraction(rn, rd)
+        try:
+            return _exact_root(v, 2)
+        except ExactnessError:
+            pass
     return math.sqrt(v)
 
 

@@ -34,8 +34,8 @@ from .expr import (
     simplify, sin, sinh, sqrt, sym, tan, tanh,
 )
 from .residual import (
-    EquationVariant, ResidualReport, classic_eq, find_zeros, modified_eq,
-    ode_residual, require_valid_b, scan,
+    EquationVariant, ResidualReport, classic_eq, distinct_points,
+    find_zeros, modified_eq, ode_residual, require_valid_b, scan,
 )
 
 __all__ = [
@@ -470,11 +470,7 @@ def singular_points(fid: str, b: float, params: Mapping[str, float],
     pts: list[float] = []
     for d in fam.singular_denoms:
         pts.extend(find_zeros(d, "xi", window, env=env))
-    out: list[float] = []
-    for p in sorted(pts):
-        if not out or p - out[-1] > 1e-8:
-            out.append(p)
-    return out
+    return distinct_points(pts)
 
 
 _residual_cache: dict[tuple[str, str], Expr] = {}

@@ -19,7 +19,8 @@ is written as null.  CSV files use shortest round-trip floats.
 
 Exit codes: 0 all requested checks passed; 1 usage error (a NaN or
 infinite number, a ``--draws`` or ``--n`` below 1, or a run past the
-step budget, among them); 2 validity violation (excluded b, inadmissible
+step budget, among them) or a stdout closed by its reader before the
+output was written; 2 validity violation (excluded b, inadmissible
 or singular parameters, unstable step); 3 a scan, system check or
 corrected kernel branch failed; 4 numerical blow-up.
 The seed defaults to 42; the environment variable MDPV_SEED overrides
@@ -786,11 +787,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         return _fail(str(exc), EXIT_USAGE)
     except ValidityError as exc:
         return _fail(str(exc), EXIT_INVALID)
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered, and the
+        # interpreter's flush at exit, to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail("stdout was closed before the output was written",
+                     EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ and recurse directly; `parse` bounds the depth of trees read from text.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from fractions import Fraction
@@ -315,16 +316,25 @@ def _as_expr(v) -> Expr:
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
+def _float(v: Number) -> float:
+    """float(v), saturating an exact value beyond float range to +-inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        # math.copysign would convert v, and overflow, too
+        return math.inf if v > 0 else -math.inf
+
+
 def _const_add(a: Number, b: Number) -> Number:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
-    return float(a) + float(b)
+    return _float(a) + _float(b)
 
 
 def _const_mul(a: Number, b: Number) -> Number:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
-    return float(a) * float(b)
+    return _float(a) * _float(b)
 
 
 def add(*parts) -> Expr:
@@ -733,7 +743,7 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     raise EvalError naming the offending subexpression; overflow saturates
     to inf and non-finite values propagate."""
     if isinstance(e, Const):
-        return float(e.value)
+        return _float(e.value)
     if isinstance(e, Sym):
         try:
             return float(env[e.name])
@@ -795,17 +805,30 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     raise TypeError(type(e))
 
 
+def _iroot(n: int, q: int) -> int:
+    # floor of the q-th root of an integer n >= 0, in integers only
+    if q == 2:
+        return math.isqrt(n)
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // q)   # 2**ceil(bits/q) > the root
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
+
+
 def _exact_root(v: Fraction, q: int) -> Fraction:
     # q-th root of a nonnegative rational, exact or ExactnessError
     if v < 0:
         raise ExactnessError("negative radicand")
 
     def iroot(n: int) -> int:
-        r = round(n ** (1.0 / q))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** q == n:
-                return c
-        raise ExactnessError("not a perfect power")
+        r = _iroot(n, q)
+        if r ** q != n:
+            raise ExactnessError("not a perfect power")
+        return r
 
     return Fraction(iroot(v.numerator), iroot(v.denominator))
 
@@ -1176,11 +1199,13 @@ _NP_FN = {
     "sinh": "np.sinh", "cosh": "np.cosh", "tanh": "np.tanh",
 }
 
-_compile_cache: dict[tuple[Expr, tuple[str, ...]], Callable] = {}
-
-
 # operands per emitted line of a long sum or product
 _FOLD_CHUNK = 64
+
+# compiled functions kept: a default `mdpv audit` compiles 158 and the
+# whole test suite, in one process, 1252.  The key holds its tree
+# strongly, so an evicted tree can leave the weak node table.
+_COMPILE_CACHE_SIZE = 4096
 
 
 def compile_fn(e: Expr, variables: Sequence[str]) -> Callable:
@@ -1189,13 +1214,14 @@ def compile_fn(e: Expr, variables: Sequence[str]) -> Callable:
     Structurally equal subtrees share one temporary, so heavily
     structured derivative trees evaluate in roughly DAG-size many
     operations.  Domain violations yield nan/inf elementwise instead of
-    raising; callers decide how to treat non-finite output.
+    raising; callers decide how to treat non-finite output.  The last
+    `_COMPILE_CACHE_SIZE` compiled functions are kept for reuse.
     """
-    key = (e, tuple(variables))
-    fn = _compile_cache.get(key)
-    if fn is not None:
-        return fn
+    return _compile(e, tuple(variables))
 
+
+@functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
+def _compile(e: Expr, variables: tuple[str, ...]) -> Callable:
     names: dict[Expr, str] = {}
     lines: list[str] = []
     var_set = set(variables)
@@ -1216,7 +1242,7 @@ def compile_fn(e: Expr, variables: Sequence[str]) -> Callable:
         if isinstance(node, Const):
             # np.float64 so 0.0**-3 yields inf under errstate instead of
             # raising like a bare python float would
-            ref = f"np.float64({float(node.value)!r})"
+            ref = f"np.float64({_float(node.value)!r})"
         elif isinstance(node, Sym):
             if node.name not in var_set:
                 raise EvalError(f"unbound symbol '{node.name}'", node)
@@ -1273,7 +1299,6 @@ def compile_fn(e: Expr, variables: Sequence[str]) -> Callable:
                 out, dtype=float)
         return out
 
-    _compile_cache[key] = wrapped
     return wrapped
 
 

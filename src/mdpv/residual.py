@@ -33,7 +33,7 @@ from .expr import (
 __all__ = [
     "EquationVariant", "modified_eq", "classic_eq",
     "pde_residual", "ode_residual", "traveling_profile",
-    "ResidualReport", "scan", "find_zeros",
+    "ResidualReport", "scan", "find_zeros", "distinct_points",
 ]
 
 
@@ -135,8 +135,11 @@ def scan(residual: Expr, env: Mapping[str, float],
 
     The scan variable is the single free symbol of `residual` not bound
     by `env`.  Grid points within `exclusion_radius` of a declared
-    exclusion are skipped.  A non-finite residual anywhere else fails
-    the scan outright.
+    exclusion are skipped.  Each top-level term is compiled and
+    evaluated once; the scale is the largest finite term magnitude, and
+    the residual's values are the left-to-right sum of the term values,
+    bit for bit what the compiled residual gives.  A non-finite
+    residual anywhere else fails the scan outright.
     """
     free = free_symbols(residual)
     unbound = sorted(free - set(env.keys()))
@@ -162,14 +165,16 @@ def scan(residual: Expr, env: Mapping[str, float],
         out = f(pts, *[args[nm] for nm in bound])
         return np.broadcast_to(np.asarray(out, dtype=float), pts.shape)
 
-    rvals = ev(residual)
     terms = residual.terms if isinstance(residual, Add) else (residual,)
+    tvals = [ev(term) for term in terms]
     scale = 0.0
-    for term in terms:
-        tv = ev(term)
+    for tv in tvals:
         finite = tv[np.isfinite(tv)]
         if finite.size:
             scale = max(scale, float(np.max(np.abs(finite))))
+    # left to right, as the compiled residual folds its sum
+    with np.errstate(all="ignore"):
+        rvals = sum(tvals[1:], tvals[0])
 
     if not np.all(np.isfinite(rvals)):
         return ResidualReport(float("inf"), int(pts.size), excluded,
@@ -187,73 +192,59 @@ def find_zeros(f: Expr, var: str, window: tuple[float, float],
     tangential ones (where the function touches zero without a sign
     change, as 1 - cosh does at the origin).
 
-    Sign changes are bisected; tangential zeros are found by bisecting
-    the derivative's sign changes and accepting critical points where
-    the function value is negligible against its window-wide scale.
+    One rule brackets the grid values of f and of f': where both
+    neighbours are finite, an exact zero is a root at its left node and
+    a sign change is bisected, all brackets at once.  A zero of f' is a
+    tangential root where |f| is negligible against f's window-wide
+    scale.  The roots come back as `distinct_points`.
     """
     env = dict(env or {})
     names = sorted(free_symbols(f) - {var})
-    fn = compile_fn(f, [var] + names)
     extra = [float(env[nm]) for nm in names]
+    fn = compile_fn(f, [var] + names)
+    dfn = compile_fn(diff(f, var), [var] + names)
 
-    def f_at(x: float) -> float:
-        return float(fn(x, *extra))
+    def at(func, x: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(
+            np.asarray(func(x, *extra), dtype=float), x.shape)
 
     lo, hi = window
     xs = np.linspace(lo, hi, n)
-    vals = np.broadcast_to(
-        np.asarray(fn(xs, *extra), dtype=float), xs.shape).copy()
-    finite = np.isfinite(vals)
-    fscale = float(np.max(np.abs(vals[finite]))) if finite.any() else 1.0
 
-    def bisect(func, a: float, b: float) -> float:
-        fa = func(a)
+    def zeros_of(func, v: np.ndarray) -> np.ndarray:
+        finite = np.isfinite(v[:-1]) & np.isfinite(v[1:])
+        exact = finite & (v[:-1] == 0.0)
+        change = finite & ~exact & ((v[:-1] < 0) != (v[1:] < 0))
+        a, b = xs[:-1][change], xs[1:][change]
+        fa = at(func, a)
         for _ in range(200):
             m = 0.5 * (a + b)
-            fm = func(m)
-            if b - a < refine_tol or fm == 0.0:
-                return m
-            if (fa < 0) != (fm < 0):
-                b = m
-            else:
-                a, fa = m, fm
-        return 0.5 * (a + b)
+            fm = at(func, m)
+            stop = (b - a < refine_tol) | (fm == 0.0)
+            # a stopped bracket collapses onto its midpoint and stays
+            a, b = np.where(stop, m, a), np.where(stop, m, b)
+            if stop.all():
+                break
+            left = (fa < 0) != (fm < 0)
+            b = np.where(left, m, b)
+            a, fa = np.where(left, a, m), np.where(left, fa, fm)
+        return np.concatenate([xs[:-1][exact], 0.5 * (a + b)])
 
-    roots: list[float] = []
-    for i in range(n - 1):
-        a, b = float(xs[i]), float(xs[i + 1])
-        va, vb = vals[i], vals[i + 1]
-        if not (np.isfinite(va) and np.isfinite(vb)):
-            continue
-        if va == 0.0:
-            roots.append(a)
-        elif (va < 0) != (vb < 0):
-            roots.append(bisect(f_at, a, b))
-    if np.isfinite(vals[-1]) and vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    vals = at(fn, xs)
+    finite = np.isfinite(vals)
+    fscale = float(np.max(np.abs(vals[finite]))) if finite.any() else 1.0
+    crit = zeros_of(dfn, at(dfn, xs))
+    vc = at(fn, crit)
+    small = np.isfinite(vc) & (np.abs(vc) <= 1e-8 * (1.0 + fscale))
+    roots = np.concatenate([zeros_of(fn, vals), crit[small]])
+    return distinct_points(roots[(lo < roots) & (roots < hi)].tolist())
 
-    # tangential zeros: critical points where f is essentially zero
-    df = diff(f, var)
-    dfn = compile_fn(df, [var] + names)
-    dvals = np.broadcast_to(
-        np.asarray(dfn(xs, *extra), dtype=float), xs.shape).copy()
 
-    def df_at(x: float) -> float:
-        return float(dfn(x, *extra))
-
-    for i in range(n - 1):
-        da, db = dvals[i], dvals[i + 1]
-        if not (np.isfinite(da) and np.isfinite(db)):
-            continue
-        if da == 0.0 or (da < 0) != (db < 0):
-            xc = float(xs[i]) if da == 0.0 else bisect(
-                df_at, float(xs[i]), float(xs[i + 1]))
-            vc = f_at(xc)
-            if np.isfinite(vc) and abs(vc) <= 1e-8 * (1.0 + fscale):
-                roots.append(xc)
-
+def distinct_points(points: Sequence[float]) -> list[float]:
+    """The points in ascending order, each kept only when it lies more
+    than 1e-8 past the last one kept."""
     out: list[float] = []
-    for r in sorted(roots):
-        if lo < r < hi and (not out or r - out[-1] > 1e-8):
-            out.append(r)
+    for p in sorted(points):
+        if not out or p - out[-1] > 1e-8:
+            out.append(p)
     return out

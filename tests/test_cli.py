@@ -226,6 +226,8 @@ def test_perturbed_system_exits_3(capsys):
     (["audit", "--b", "-1"], EXIT_INVALID),
     (["audit", "--b", "nan"], EXIT_USAGE),
     (["audit", "--b", "3", "--draws", "0"], EXIT_USAGE),
+    # an exact constant past float range evaluates to inf, like a pole
+    (["verify", "--expr", "1" + "0" * 400 + "*xi", "--b", "3"], EXIT_FAIL),
 ])
 def test_every_exit_code_with_json(capsys, argv, code):
     rc, out, err = run_cli(capsys, argv + ["--json"])
@@ -580,3 +582,22 @@ def test_cli_import_does_not_load_scipy():
                          capture_output=True, text=True, check=True,
                          timeout=60)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_closed_stdout_is_one_error_line(unbuffered):
+    # the reader exits before anything is written, as `mdpv ... | head`
+    # does once it has its lines; buffered or not, the write fails
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen([sys.executable, "-m", "mdpv.cli", "list"],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _out, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -573,3 +573,26 @@ def test_compiled_long_sum_is_a_left_to_right_accumulation():
         term = np.float64(c) * xs ** (k + 1)
         want = term if want is None else want + term
     assert np.array_equal(compile_fn(e, ["x"])(xs), want)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_constants_past_float_range_saturate(sign):
+    big = Const(sign * 10 ** 400)
+    e = big * X + 1
+    want = sign * math.inf
+    assert evaluate(e, {"x": 2.0}) == want
+    assert compile_fn(e, ["x"])(2.0) == want
+    # folding with a float constant saturates the same way
+    assert (big * Const(0.5)).value == want
+    assert (big + Const(0.5)).value == want
+
+
+def test_exact_roots_of_integers_past_float_range():
+    assert simplify(sqrt(Const(10 ** 400))) is Const(10 ** 200)
+    n = 10 ** 30 + 7
+    assert evaluate_exact(sqrt(Const(n * n)), {}) == n
+    cube_root = E.pow_(Const(3 ** 300), Const(Fraction(1, 3)))
+    assert evaluate_exact(cube_root, {}) == 3 ** 100
+    with pytest.raises(ExactnessError):
+        evaluate_exact(E.pow_(Const(3 ** 300 + 1), Const(Fraction(1, 3))),
+                       {})

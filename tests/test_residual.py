@@ -12,7 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from mdpv.expr import cosh, diff, evaluate, parse, pointwise_equal, sym
+from mdpv.catalog import (
+    FamilyInstance, _env as _family_env, draw_params, family, family_ids,
+    singular_points,
+)
+from mdpv.expr import (
+    compile_fn, cosh, diff, evaluate, free_symbols, parse, pointwise_equal,
+    sym,
+)
+from mdpv.riccati import AUDIT_SPECS, solution as riccati_solution
 from mdpv.residual import (
     EquationVariant, ResidualReport, classic_eq, find_zeros, modified_eq,
     ode_residual, pde_residual, require_valid_b, scan, traveling_profile,
@@ -179,3 +187,118 @@ def test_find_zeros_trig_quarter():
 def test_find_zeros_with_env_parameters():
     zs = find_zeros(parse("x - c"), "x", (-5, 5), env={"c": 1.25})
     assert len(zs) == 1 and zs[0] == pytest.approx(1.25, abs=1e-9)
+
+
+# ---------------------------------------------------------------------
+# the array pass against the per-point loop it replaced
+
+def _find_zeros_loop(f, var, window, n=4001, refine_tol=1e-10, env=None):
+    # reference: one scalar bisection per bracket, one grid walk for f
+    # and one for f'
+    env = dict(env or {})
+    names = sorted(free_symbols(f) - {var})
+    fn = compile_fn(f, [var] + names)
+    extra = [float(env[nm]) for nm in names]
+
+    def f_at(x):
+        return float(fn(x, *extra))
+
+    lo, hi = window
+    xs = np.linspace(lo, hi, n)
+    vals = np.broadcast_to(
+        np.asarray(fn(xs, *extra), dtype=float), xs.shape).copy()
+    finite = np.isfinite(vals)
+    fscale = float(np.max(np.abs(vals[finite]))) if finite.any() else 1.0
+
+    def bisect(func, a, b):
+        fa = func(a)
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            fm = func(m)
+            if b - a < refine_tol or fm == 0.0:
+                return m
+            if (fa < 0) != (fm < 0):
+                b = m
+            else:
+                a, fa = m, fm
+        return 0.5 * (a + b)
+
+    roots = []
+    for i in range(n - 1):
+        a, b = float(xs[i]), float(xs[i + 1])
+        va, vb = vals[i], vals[i + 1]
+        if not (np.isfinite(va) and np.isfinite(vb)):
+            continue
+        if va == 0.0:
+            roots.append(a)
+        elif (va < 0) != (vb < 0):
+            roots.append(bisect(f_at, a, b))
+
+    dfn = compile_fn(diff(f, var), [var] + names)
+    dvals = np.broadcast_to(
+        np.asarray(dfn(xs, *extra), dtype=float), xs.shape).copy()
+
+    def df_at(x):
+        return float(dfn(x, *extra))
+
+    for i in range(n - 1):
+        da, db = dvals[i], dvals[i + 1]
+        if not (np.isfinite(da) and np.isfinite(db)):
+            continue
+        if da == 0.0 or (da < 0) != (db < 0):
+            xc = float(xs[i]) if da == 0.0 else bisect(
+                df_at, float(xs[i]), float(xs[i + 1]))
+            vc = f_at(xc)
+            if np.isfinite(vc) and abs(vc) <= 1e-8 * (1.0 + fscale):
+                roots.append(xc)
+
+    out = []
+    for r in sorted(roots):
+        if lo < r < hi and (not out or r - out[-1] > 1e-8):
+            out.append(r)
+    return out
+
+
+def _oracle_cases():
+    cases = []
+    for fid in family_ids():
+        for b in (0.5, 3.0):
+            params = draw_params(fid, np.random.default_rng(11), b)
+            env = _family_env(fid, b, params)
+            for k, d in enumerate(family(fid).singular_denoms):
+                cases.append(pytest.param(d, "xi", (-8.0, 8.0), env,
+                                          id=f"{fid}-b{b}-d{k}"))
+    for case, spec in AUDIT_SPECS.items():
+        for k, d in enumerate(riccati_solution(spec).pole_denoms):
+            cases.append(pytest.param(d, "xi", (-5.0, 5.0), {},
+                                      id=f"riccati{case}-d{k}"))
+    # a tangential zero; a double zero; and two zeros 1.6e-8 apart with
+    # a grid node between them, where the dedupe keeps both ends
+    for text, window in [("1 - cosh(x)", (-5, 5)), ("x^2", (-1, 1)),
+                         ("x^2 - 6.4e-17", (-1, 1))]:
+        cases.append(pytest.param(parse(text), "x", window, {}, id=text))
+    return cases
+
+
+@pytest.mark.parametrize("f,var,window,env", _oracle_cases())
+def test_find_zeros_matches_the_loop(f, var, window, env):
+    assert find_zeros(f, var, window, env=env) == \
+        _find_zeros_loop(f, var, window, env=env)
+
+
+@pytest.mark.parametrize("fid", family_ids())
+def test_scan_maximum_is_the_compiled_residual_maximum(fid):
+    # scan sums the term values; the compiled residual folds the same sum
+    b, window, n = 3.0, (-8.0, 8.0), 257
+    params = draw_params(fid, np.random.default_rng(5), b)
+    inst = FamilyInstance(fid, b, params)
+    R = ode_residual(inst.profile(), modified_eq(b), inst.speed())
+    poles = singular_points(fid, b, params, window)
+    rep = scan(R, {}, window=window, n=n, exclusions=poles)
+    grid = np.linspace(*window, n)
+    keep = np.ones(n, dtype=bool)
+    for x0 in poles:
+        keep &= np.abs(grid - x0) > 0.1
+    vals = compile_fn(R, ["xi"])(grid[keep])
+    assert rep.points_excluded == n - keep.sum()
+    assert rep.max_abs_residual == float(np.max(np.abs(vals)))
