@@ -11,10 +11,14 @@ systems:
 * a rational-hyperbolic route: u is a ratio of degree-one sinh/cosh
   combinations; rewriting in the exponential of the wave variable
   gives a polynomial collection in that exponential;
-* a quadratic-ODE (Laurent) route: u is a Laurent polynomial of
-  degree two in a kernel function whose derivative is a quadratic
-  polynomial of itself; the derivative rule closes the algebra, and
+* a quadratic-ODE kernel route: u is a0 + a1 phi + a2 phi^2
+  + c1/phi + c2/phi^2 in a kernel function phi whose derivative is a
+  quadratic polynomial of itself; written as a polynomial over phi^2,
+  the derivative rule closes the algebra, and clearing phi^7 and
   collecting kernel powers gives the third system.
+
+All three routes differentiate u = num/den^k with one quotient-rule
+step, so every derivative stays a polynomial over a power of den.
 
 Each engine regenerates its system symbolically; family parameter
 maps substitute the catalog's closed-form parameters and must
@@ -31,131 +35,25 @@ from fractions import Fraction
 
 from .expr import (
     Add, ExactnessError, Expr, Sym, _exact_root, add, con, cosh, diff,
-    evaluate, evaluate_exact, exp, format_expr, free_symbols, log, mul,
-    pow_, simplify, sinh, substitute_map,
+    evaluate, evaluate_exact, exp, format_expr, log, mul, pow_, simplify,
+    sinh, substitute_map,
 )
 from . import polytools as pt
 from .catalog import method_tag
-from .riccati import RiccatiSpec
 
 __all__ = [
-    "LaurentPoly", "AlgebraicSystem",
+    "AlgebraicSystem",
     "cole_hopf_build", "cole_hopf_system",
     "rational_hyperbolic_build", "rational_hyperbolic_system",
     "balance_m", "BALANCE_PAIRS", "CHOSEN_DEGREE", "CLEARING_POWER",
-    "laurent_residual", "tanh_coth_substitute", "tanh_coth_system",
+    "laurent_residual", "tanh_coth_system",
     "system_for_family", "family_system_env",
     "verify_family_against_system",
 ]
 
-_ZERO = con(0)
-
 
 def _as_expr(v) -> Expr:
     return v if isinstance(v, Expr) else con(v)
-
-
-# ---------------------------------------------------------------------
-# Laurent polynomials in the quadratic-ODE kernel
-
-class LaurentPoly:
-    """Finite Laurent polynomial sum_k coeff[k] * phi^k with Expr
-    coefficients.  Coefficients that expand to the zero polynomial are
-    dropped, so the stored support is exact."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, Expr], *, trusted: bool = False):
-        if trusted:
-            self.coeffs = coeffs
-            return
-        clean: dict[int, Expr] = {}
-        for k, c in coeffs.items():
-            c = _as_expr(c)
-            if not _expands_to_zero(c):
-                clean[int(k)] = c
-        self.coeffs = clean
-
-    @property
-    def k_min(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
-
-    @property
-    def k_max(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = add(out[k], c) if k in out else c
-        return LaurentPoly(out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, Expr] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                p = mul(c1, c2)
-                out[k] = add(out[k], p) if k in out else p
-        return LaurentPoly(out)
-
-    def scale(self, c) -> "LaurentPoly":
-        c = _as_expr(c)
-        return LaurentPoly({k: mul(c, v) for k, v in self.coeffs.items()})
-
-    def shift(self, n: int) -> "LaurentPoly":
-        """Multiply by phi^n (exact exponent shift)."""
-        return LaurentPoly({k + n: v for k, v in self.coeffs.items()},
-                           trusted=True)
-
-    def derivative(self, alpha: Expr, beta: Expr,
-                   gamma: Expr) -> "LaurentPoly":
-        """Termwise rule D(phi^k) = k phi^(k-1) (alpha + beta phi
-        + gamma phi^2), the closure coming from the kernel ODE."""
-        out: dict[int, Expr] = {}
-
-        def acc(k, e):
-            out[k] = add(out[k], e) if k in out else e
-
-        for k, c in self.coeffs.items():
-            if k == 0:
-                continue
-            kc = mul(con(k), c)
-            acc(k - 1, mul(kc, alpha))
-            acc(k, mul(kc, beta))
-            acc(k + 1, mul(kc, gamma))
-        return LaurentPoly(out)
-
-    def as_expr(self, phi: Expr) -> Expr:
-        terms = [mul(c, pow_(phi, k)) for k, c in self.items()]
-        return add(*terms) if terms else _ZERO
-
-    def eval_at(self, phi_value: float, env: dict[str, float]) -> float:
-        total = 0.0
-        for k, c in self.items():
-            total += evaluate(c, env) * phi_value ** k
-        return total
-
-    def __repr__(self):
-        body = ", ".join(f"{k}: {format_expr(c)}" for k, c in self.items())
-        return f"LaurentPoly({{{body}}})"
-
-
-def _expands_to_zero(e: Expr) -> bool:
-    """Exact zero test for polynomial coefficient expressions; falls
-    back to simplification if a non-polynomial form sneaks in."""
-    syms = sorted(free_symbols(e))
-    try:
-        return pt.poly_is_zero(pt.to_poly(e, syms))
-    except pt.NotPolynomial:
-        s = simplify(e)
-        return getattr(s, "is_rational", False) and not s.value
 
 
 # ---------------------------------------------------------------------
@@ -295,6 +193,15 @@ def _maybe_substitute_b(system: AlgebraicSystem, b) -> AlgebraicSystem:
     return system.substituted({"b": b})
 
 
+def _quotient_step(num: Expr, k: int, op: Expr, den: Expr,
+                   var: str) -> tuple[Expr, int]:
+    """Apply op * d/dvar to num / den^k by the quotient rule; the
+    result is the returned numerator over den^(k+1)."""
+    new = mul(op, add(mul(diff(num, var), den),
+                      mul(con(-k), num, diff(den, var))))
+    return new, k + 1
+
+
 # ---------------------------------------------------------------------
 # route 1: exponential-kernel transformation
 
@@ -325,30 +232,21 @@ _CH_UNKNOWNS = ("amp", "bg", "mu", "lam")
 _CH_VARS = ("z", "amp", "bg", "mu", "lam", "b")
 
 
-def _euler_step(num: Expr, den_pow: int, scale: Expr, den: Expr,
-                dden: Expr) -> tuple[Expr, int]:
-    """One application of scale * z * d/dz to num / den^den_pow."""
-    z = Sym("z")
-    dnum = diff(num, "z")
-    new = mul(scale, z, add(mul(dnum, den),
-                            mul(con(-den_pow), num, dden)))
-    return new, den_pow + 1
-
-
 @functools.cache
 def _cole_hopf_system_symbolic() -> AlgebraicSystem:
     z = Sym("z")
     A, B, mu, lam, b = (Sym(s) for s in ("amp", "bg", "mu", "lam", "b"))
     w = add(con(1), z)
-    dw = con(1)
-    # u = (A mu^2 z + B (1+z)^2) / (1+z)^2 in z = exp(mu x + lam t + d)
+    # u = (A mu^2 z + B (1+z)^2) / (1+z)^2 in z = exp(mu x + lam t + d),
+    # so d/dx = mu z d/dz and d/dt = lam z d/dz
+    dx, dt = mul(mu, z), mul(lam, z)
     P0 = add(mul(A, pow_(mu, 2), z), mul(B, pow_(w, 2)))
-    P1, k1 = _euler_step(P0, 2, mu, w, dw)          # u_x
-    P2, k2 = _euler_step(P1, k1, mu, w, dw)         # u_xx
-    P3, k3 = _euler_step(P2, k2, mu, w, dw)         # u_xxx
-    Pt, kt = _euler_step(P0, 2, lam, w, dw)         # u_t
-    Pq, kq = _euler_step(Pt, kt, mu, w, dw)
-    Pxxt, kxxt = _euler_step(Pq, kq, mu, w, dw)     # u_xxt
+    P1, k1 = _quotient_step(P0, 2, dx, w, "z")         # u_x
+    P2, k2 = _quotient_step(P1, k1, dx, w, "z")        # u_xx
+    P3, k3 = _quotient_step(P2, k2, dx, w, "z")        # u_xxx
+    Pt, kt = _quotient_step(P0, 2, dt, w, "z")         # u_t
+    Pq, kq = _quotient_step(Pt, kt, dx, w, "z")
+    Pxxt, kxxt = _quotient_step(Pq, kq, dx, w, "z")    # u_xxt
     assert (k3, kxxt) == (5, 5)
     # residual u_t - u_xxt + (b+1)u^2 u_x - b u_x u_xx - u u_xxx,
     # multiplied through by (1+z)^7
@@ -398,11 +296,10 @@ def _rational_hyperbolic_system_symbolic() -> AlgebraicSystem:
             add(a2, mul(con(-1), a1)))
     Q = add(mul(add(c1, c2), pow_(z, 2)), mul(con(2), z),
             add(c2, mul(con(-1), c1)))
-    dQ = diff(Q, "z")
-    one = con(1)
-    N1, n1 = _euler_step(P, 1, one, Q, dQ)       # U'
-    N2, n2 = _euler_step(N1, n1, one, Q, dQ)     # U''
-    N3, n3 = _euler_step(N2, n2, one, Q, dQ)     # U'''
+    # d/dxi = z d/dz
+    N1, n1 = _quotient_step(P, 1, z, Q, "z")       # U'
+    N2, n2 = _quotient_step(N1, n1, z, Q, "z")     # U''
+    N3, n3 = _quotient_step(N2, n2, z, Q, "z")     # U'''
     assert n3 == 4
     # wave ODE residual times Q^5
     total = add(
@@ -433,34 +330,29 @@ CLEARING_POWER = 7  # 3*CHOSEN_DEGREE + 1: lowest/highest kernel power
 
 
 def laurent_residual(a0, a1, a2, c1, c2, alpha, beta, gamma, lam,
-                     b) -> LaurentPoly:
+                     b) -> Expr:
     """Wave ODE residual of u = a0 + a1 phi + a2 phi^2 + c1/phi
-    + c2/phi^2 as a Laurent polynomial in the kernel phi."""
+    + c2/phi^2, multiplied by phi^CLEARING_POWER: a polynomial in the
+    kernel phi, whose derivative is alpha + beta phi + gamma phi^2."""
     a0, a1, a2, c1, c2, alpha, beta, gamma, lam, b = map(
         _as_expr, (a0, a1, a2, c1, c2, alpha, beta, gamma, lam, b))
-    U = LaurentPoly({-2: c2, -1: c1, 0: a0, 1: a1, 2: a2})
-    U1 = U.derivative(alpha, beta, gamma)
-    U2 = U1.derivative(alpha, beta, gamma)
-    U3 = U2.derivative(alpha, beta, gamma)
-    bp1 = add(b, con(1))
-    neg = con(-1)
-    return (U1 * U * U).scale(bp1) \
-        + (U3 * U).scale(neg) \
-        + U3.scale(mul(neg, lam)) \
-        + U1.scale(lam) \
-        + (U1 * U2).scale(mul(neg, b))
-
-
-def tanh_coth_substitute(a0, a1, a2, c1, c2, spec: RiccatiSpec, lam,
-                         b) -> LaurentPoly:
-    """Residual Laurent polynomial for concrete kernel-ODE
-    coefficients, cleared of negative powers by the minimal shift
-    (phi^7 for the full degree-2 ansatz)."""
-    L = laurent_residual(a0, a1, a2, c1, c2, con(spec.alpha),
-                         con(spec.beta), con(spec.gamma), lam, b)
-    if L.is_zero():
-        return L
-    return L.shift(max(0, -L.k_min))
+    phi = Sym("phi")
+    # u = P / phi^2, and d/dxi = (alpha + beta phi + gamma phi^2) d/dphi
+    P = add(c2, mul(c1, phi), mul(a0, pow_(phi, 2)), mul(a1, pow_(phi, 3)),
+            mul(a2, pow_(phi, 4)))
+    op = add(alpha, mul(beta, phi), mul(gamma, pow_(phi, 2)))
+    N1, n1 = _quotient_step(P, 2, op, phi, "phi")      # U'
+    N2, n2 = _quotient_step(N1, n1, op, phi, "phi")    # U''
+    N3, n3 = _quotient_step(N2, n2, op, phi, "phi")    # U'''
+    assert n3 == 5
+    # (b+1) U' U^2 - U U''' - lam U''' + lam U' - b U' U'', times phi^7
+    return add(
+        mul(add(b, con(1)), N1, P, P),
+        mul(con(-1), N3, P),
+        mul(con(-1), lam, N3, pow_(phi, 2)),
+        mul(lam, N1, pow_(phi, 4)),
+        mul(con(-1), b, N1, N2),
+    )
 
 
 _TC_UNKNOWNS = ("lam", "a0", "a1", "a2", "c1", "c2", "alpha", "beta",
@@ -470,14 +362,13 @@ _TC_VARS = _TC_UNKNOWNS + ("b",)
 
 @functools.cache
 def _tanh_coth_system_symbolic() -> AlgebraicSystem:
-    syms = {n: Sym(n) for n in _TC_VARS}
-    L = laurent_residual(*(syms[n] for n in
-                           ("a0", "a1", "a2", "c1", "c2", "alpha",
-                            "beta", "gamma", "lam", "b")))
-    groups = {k: pt.to_poly(c, _TC_VARS) for k, c in L.items()}
+    cleared = laurent_residual(*(Sym(n) for n in
+                                 ("a0", "a1", "a2", "c1", "c2", "alpha",
+                                  "beta", "gamma", "lam", "b")))
+    groups = _collect_powers(cleared, ("phi",) + _TC_VARS)
     return _assemble_system(
-        "tanhcoth", "kernel function of the quadratic ODE",
-        _TC_UNKNOWNS, groups, _TC_VARS, (),
+        "tanhcoth", "kernel function of the quadratic ODE", _TC_UNKNOWNS,
+        {j - CLEARING_POWER: g for j, g in groups.items()}, _TC_VARS, (),
         "kernel powers collected directly from the Laurent residual; "
         "powers quoted before the phi^7 clearing shift; rational "
         "content removed")

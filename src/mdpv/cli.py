@@ -18,8 +18,9 @@ carry 17 significant digits; a non-finite measured residual or scale
 is written as null.  CSV files use shortest round-trip floats.
 
 Exit codes: 0 all requested checks passed; 1 usage error (a NaN or
-infinite number, a ``--draws`` or ``--n`` below 1, or a run past the
-step budget, among them) or a stdout closed by its reader before the
+infinite number, a ``--draws`` or ``--n`` below 1 or past its budget,
+a grid past ``mdpv.sim.MAX_N`` points, or a run past the step budget,
+among them) or a stdout closed by its reader before the
 output was written; 2 validity violation (excluded b, inadmissible
 or singular parameters, unstable step); 3 a scan, system check or
 corrected kernel branch failed; 4 numerical blow-up.
@@ -74,6 +75,11 @@ SCAN_TOL = 1e-9
 SYSTEM_TOL = 1e-10
 B_LIST = "0,0.5,1,3"
 DRAWS = 3
+# budgets of the count flags: the largest legitimate values are the
+# defaults above (--n 257, --draws 3); `verify --family all --n
+# 100000` takes 3 s on a 2-vCPU machine
+MAX_SCAN_N = 100_000
+MAX_DRAWS = 100
 
 
 class UsageError(Exception):
@@ -207,17 +213,23 @@ def _finite_float(text: str) -> float:
     return v
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of ``--draws`` and ``--n``: zero draws would scan
-    nothing and report a pass, and a scan needs a point."""
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1, got {v}")
-    return v
+def _count(upper: int):
+    """argparse type of a count flag, 1 to `upper`: zero draws would
+    scan nothing and report a pass, a scan needs a point, and a count
+    past `upper` asks for a run with no useful end."""
+    def count(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if v < 1:
+            raise argparse.ArgumentTypeError(f"needs at least 1, got {v}")
+        if v > upper:
+            raise argparse.ArgumentTypeError(
+                f"needs at most {upper}, got {v}")
+        return v
+    return count
 
 
 def _parse_assignments(pairs: list[str] | None, flag: str) -> dict[str, float]:
@@ -719,9 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed", type=_finite_float, default=0.0,
                    help="wave speed for --expr (default 0)")
     p.add_argument("--window", default=SCAN_WINDOW, metavar="A,B")
-    p.add_argument("--n", type=_positive_int, default=SCAN_N)
+    p.add_argument("--n", type=_count(MAX_SCAN_N), default=SCAN_N)
     p.add_argument("--tol", type=_finite_float, default=SCAN_TOL)
-    p.add_argument("--draws", type=_positive_int, default=1,
+    p.add_argument("--draws", type=_count(MAX_DRAWS), default=1,
                    help="seeded parameter draws per family (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -743,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", action="append", metavar="NAME=DELTA",
                    help="offset a system unknown after substitution"
                         " (negative control)")
-    p.add_argument("--draws", type=_positive_int, default=DRAWS)
+    p.add_argument("--draws", type=_count(MAX_DRAWS), default=DRAWS)
     p.add_argument("--tol", type=_finite_float, default=SYSTEM_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_system_verify)
@@ -774,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
                             " at several b values")
     p.add_argument("--b", default=B_LIST, metavar="B1,B2,...",
                    help=f"comma-separated b values (default {B_LIST})")
-    p.add_argument("--draws", type=_positive_int, default=DRAWS,
+    p.add_argument("--draws", type=_count(MAX_DRAWS), default=DRAWS,
                    help=f"draws per family and b (default {DRAWS})")
     _add_common(p)
     p.set_defaults(func=cmd_audit)

@@ -41,7 +41,7 @@ __all__ = [
     "Grid", "SimState", "SimConfig", "Snapshot", "SimReport",
     "BlowUpError", "InadmissibleFamilyError", "SCHEMES",
     "helmholtz_solve", "flux_divergence", "rhs", "step_rk4", "run",
-    "cfl_limit", "write_snapshots_csv", "MAX_STEPS",
+    "cfl_limit", "write_snapshots_csv", "MAX_STEPS", "MAX_N",
 ]
 
 SCHEMES = ("spectral", "fd4")
@@ -49,6 +49,11 @@ SCHEMES = ("spectral", "fd4")
 # step budget of one run, checked before any work: the longest run of
 # the examples and tests takes 8 000 steps, the CLI defaults 4 000
 MAX_STEPS = 1_000_000
+
+# grid-size budget, checked when a Grid is made: the largest grid of the
+# examples, tests and benchmark has 2 048 points, and 65 536 points cost
+# half a megabyte per array
+MAX_N = 65_536
 
 
 class BlowUpError(RuntimeError):
@@ -78,6 +83,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 64 or self.n & (self.n - 1):
             raise ValueError("grid size must be a power of two >= 64")
+        if self.n > MAX_N:
+            raise ValueError(f"grid size must be at most {MAX_N}")
         if not self.length > 0:
             raise ValueError("domain length must be positive")
 

@@ -2,30 +2,33 @@
 
 Oracles: exact Fraction annihilation for rational parameter maps,
 seeded numeric annihilation for radical-bearing maps, frozen system
-structure (equation counts, collected powers, mirror degeneracies),
-and agreement between the Laurent-coefficient residual and the direct
-ODE residual — two independent computation paths.
+structure (equation counts, collected powers, mirror degeneracies) and
+digests of the printed coefficients, the quotient-rule step checked
+against direct differentiation, and agreement between the phi^7-cleared
+kernel residual and the direct ODE residual — two independent
+computation paths.
 """
 
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mdpv.ansatz import (
     BALANCE_PAIRS, CHOSEN_DEGREE, CLEARING_POWER, AlgebraicSystem,
-    LaurentPoly, balance_m, cole_hopf_build, cole_hopf_system,
+    _quotient_step, balance_m, cole_hopf_build, cole_hopf_system,
     family_system_env, laurent_residual, rational_hyperbolic_build,
-    rational_hyperbolic_system, system_for_family, tanh_coth_substitute,
-    tanh_coth_system, verify_family_against_system,
+    rational_hyperbolic_system, system_for_family, tanh_coth_system,
+    verify_family_against_system,
 )
 from mdpv.catalog import draw_params, family_ids, profile_with_values
 from mdpv import polytools as pt
 from mdpv.expr import (
-    Sym, add, con, evaluate, mul, parse, pow_,
+    Sym, add, con, diff, evaluate, free_symbols, mul, parse, pointwise_equal,
+    pow_,
 )
 from mdpv.residual import modified_eq, ode_residual
 from mdpv.riccati import RiccatiSpec, solution
@@ -44,83 +47,77 @@ def test_balance_degrees():
     assert len(BALANCE_PAIRS) == 3
 
 
+_TC_ARGS = ("a0", "a1", "a2", "c1", "c2", "alpha", "beta", "gamma", "lam",
+            "b")
+
+
 def test_generic_laurent_span_matches_clearing_power():
-    names = ("a0", "a1", "a2", "c1", "c2", "alpha", "beta", "gamma",
-             "lam", "b")
-    L = laurent_residual(*(Sym(n) for n in names))
-    assert (L.k_min, L.k_max) == (-CLEARING_POWER, CLEARING_POWER)
-
-
-# ---------------------------------------------------------------------
-# LaurentPoly algebra
-
-def _rand_laurent(rng, syms=("p", "q")):
-    ks = rng.choice(np.arange(-3, 4), size=rng.integers(1, 4),
-                    replace=False)
-    coeffs = {}
-    for k in ks:
-        c = con(int(rng.integers(-3, 4)))
-        if rng.random() < 0.5:
-            c = mul(c, Sym(str(rng.choice(syms))))
-        coeffs[int(k)] = c
-    return LaurentPoly(coeffs)
-
-
-def test_laurent_drops_zero_coefficients():
-    L = LaurentPoly({0: parse("p - p"), 2: con(3), 5: con(0)})
-    assert list(L.coeffs) == [2]
-    assert (L.k_min, L.k_max) == (2, 2)
-
-
-def test_laurent_derivative_leibniz_exact():
-    rng = np.random.default_rng(11)
-    a, b, g = Sym("alpha"), Sym("beta"), Sym("gamma")
-    for _ in range(30):
-        P, Q = _rand_laurent(rng), _rand_laurent(rng)
-        lhs = (P * Q).derivative(a, b, g)
-        rhs = P.derivative(a, b, g) * Q + P * Q.derivative(a, b, g)
-        diff_poly = lhs + rhs.scale(con(-1))
-        assert diff_poly.is_zero()
-
-
-def test_laurent_derivative_leibniz_pointwise():
-    # same law checked through a concrete kernel instance
-    spec = RiccatiSpec(F(1), F(3), F(1))
-    br = solution(spec)
-    rng = np.random.default_rng(5)
-    env = {"p": 0.7, "q": -1.3, "alpha": 1.0, "beta": 3.0, "gamma": 1.0}
-    a, b, g = con(1), con(3), con(1)
-    for _ in range(10):
-        P, Q = _rand_laurent(rng), _rand_laurent(rng)
-        lhs = (P * Q).derivative(a, b, g)
-        rhs = P.derivative(a, b, g) * Q + P * Q.derivative(a, b, g)
-        for xi in (-1.2, 0.3, 2.0):
-            pv = evaluate(br.phi, {"xi": xi})
-            if not math.isfinite(pv) or abs(pv) < 0.1:
-                continue
-            v1, v2 = lhs.eval_at(pv, env), rhs.eval_at(pv, env)
-            assert abs(v1 - v2) <= 1e-10 * (1 + abs(v1))
+    cleared = laurent_residual(*(Sym(n) for n in _TC_ARGS))
+    powers = {mono[0] - CLEARING_POWER
+              for mono in pt.to_poly(cleared, ("phi",) + _TC_ARGS)}
+    assert powers == set(range(-CLEARING_POWER, CLEARING_POWER + 1))
 
 
 def test_constant_ansatz_residual_vanishes():
-    spec = RiccatiSpec(F(1), F(0), F(-1))
-    L = tanh_coth_substitute(con(2), 0, 0, 0, 0, spec, con(-1), con(3))
-    assert L.is_zero()
+    # u = 2 under phi' = 1 - phi^2: every derivative of u is zero
+    cleared = laurent_residual(2, 0, 0, 0, 0, 1, 0, -1, -1, 3)
+    assert pt.poly_is_zero(pt.to_poly(cleared, ("phi",)))
 
 
-@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
-@settings(max_examples=50, deadline=None)
-def test_laurent_mul_matches_pointwise(c1, c2, k):
-    P = LaurentPoly({-k: con(c1), 1: con(2)})
-    Q = LaurentPoly({0: con(c2), k: con(-1)})
-    R = P * Q
-    for pv in (0.7, -1.9, 2.3):
-        direct = P.eval_at(pv, {}) * Q.eval_at(pv, {})
-        assert abs(R.eval_at(pv, {}) - direct) <= 1e-12 * (1 + abs(direct))
+# ---------------------------------------------------------------------
+# the quotient-rule step shared by the three routes
+
+# (numerator, starting power, operator, denominator, variable) of each
+# route's first derivative
+_STEP_CASES = {
+    "colehopf": ("amp*mu^2*z + bg*(1 + z)^2", 2, "mu*z", "1 + z", "z"),
+    "hyperbolic": ("(a1 + a2)*z^2 + 2*a0*z + a2 - a1", 1, "z",
+                   "(c1 + c2)*z^2 + 2*z + c2 - c1", "z"),
+    "tanhcoth": ("c2 + c1*phi + a0*phi^2 + a1*phi^3 + a2*phi^4", 2,
+                 "alpha + beta*phi + gamma*phi^2", "phi", "phi"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_STEP_CASES))
+def test_quotient_step_applies_the_operator(route):
+    num, k, op, den, var = _STEP_CASES[route]
+    num, op, den = parse(num), parse(op), parse(den)
+    # three steps, as each route takes for u', u'' and u'''
+    for _ in range(3):
+        new, k_new = _quotient_step(num, k, op, den, var)
+        assert k_new == k + 1
+        lhs = mul(new, pow_(den, -k_new))
+        rhs = mul(op, diff(mul(num, pow_(den, -k)), var))
+        names = free_symbols(lhs) | free_symbols(rhs)
+        assert pointwise_equal(lhs, rhs, {n: (0.5, 1.5) for n in names}), \
+            (route, k)
+        num, k = new, k_new
 
 
 # ---------------------------------------------------------------------
 # frozen system structure
+
+# sha256 of json.dumps(system.dump()): the coefficients `system-verify
+# --json` prints; a change here is a change of the regenerated systems
+_DUMP_DIGESTS = {
+    "colehopf":
+        "5f52e81b890c2c23a6587602c6ff65759c75c49995adb0c00e9b86ac6575e850",
+    "hyperbolic":
+        "9b24d7c4b43a59942686d1301324abab8be92fed07de7bcd28085a2fe8bcdb4d",
+    "tanhcoth":
+        "93ea71fa22f846383f45e3d6bcd3c12c82b66b8b3a6f67ffcf1290e23e22b835",
+}
+
+
+@pytest.mark.parametrize("build", [
+    cole_hopf_system, rational_hyperbolic_system, tanh_coth_system,
+])
+def test_frozen_system_digest(build):
+    S = build()
+    text = json.dumps(S.dump())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        _DUMP_DIGESTS[S.method]
+
 
 def test_exponential_route_structure():
     S = cole_hopf_system()
@@ -406,7 +403,7 @@ def test_dual_route_agreement_random_coefficients():
             if not math.isfinite(pv) or not 0.05 < abs(pv) < 1e3:
                 continue
             vA = evaluate(R, {"xi": xi})
-            vB = L.eval_at(pv, {})
+            vB = evaluate(L, {"phi": pv}) / pv ** CLEARING_POWER
             assert abs(vA - vB) <= 1e-9 * (1 + abs(vA)), (trial, xi)
             checked += 1
         assert checked >= 10
@@ -437,7 +434,7 @@ def test_dual_route_agreement_per_family(fid):
         if not math.isfinite(scale):
             continue
         vA = evaluate(R, {"xi": xi})
-        vB = L.eval_at(pv, {})
+        vB = evaluate(L, {"phi": pv}) / pv ** CLEARING_POWER
         assert abs(vA - vB) <= 1e-9 * (1 + scale), (fid, xi, vA, vB)
         checked += 1
     assert checked >= 5, fid
@@ -449,15 +446,10 @@ def test_dual_route_agreement_per_family(fid):
 def test_substituted_system_drops_unknown():
     S = cole_hopf_system(3.0)
     assert "b" not in {s for eq in S.equations
-                       for s in _free(eq)}
+                       for s in free_symbols(eq)}
     env = family_system_env("u1", 3.0, {"mu": 0.7})
     env.pop("b")
     assert S.holds_at(env)
-
-
-def _free(e):
-    from mdpv.expr import free_symbols
-    return free_symbols(e)
 
 
 def test_dump_round_trips():

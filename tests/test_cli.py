@@ -16,10 +16,11 @@ from pathlib import Path
 import pytest
 
 from mdpv.cli import (
-    EXIT_BLOWUP, EXIT_FAIL, EXIT_INVALID, EXIT_OK, EXIT_USAGE,
-    METHOD_CHOICES, SEED_ENV_VAR, main, render_json,
+    EXIT_BLOWUP, EXIT_FAIL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, MAX_DRAWS,
+    MAX_SCAN_N, METHOD_CHOICES, SEED_ENV_VAR, main, render_json,
 )
 from mdpv.expr import evaluate, parse
+from mdpv.sim import MAX_N
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +104,15 @@ def test_render_json_rejects_nonfinite():
     ["simulate", "--family", "u6", "--T", "-inf", "--json"],
     ["simulate", "--family", "u6", "--L", "nan", "--json"],
     ["simulate", "--family", "u6", "--blowup-threshold", "inf", "--json"],
+    # one past each size budget
+    ["simulate", "--family", "u6", "--N", str(2 * MAX_N), "--json"],
+    ["verify", "--family", "u3", "--b", "3", "--n", str(MAX_SCAN_N + 1),
+     "--json"],
+    ["verify", "--family", "u3", "--b", "3", "--draws",
+     str(MAX_DRAWS + 1), "--json"],
+    ["system-verify", "--method", "colehopf", "--family", "u1",
+     "--draws", str(MAX_DRAWS + 1), "--json"],
+    ["audit", "--b", "3", "--draws", str(MAX_DRAWS + 1), "--json"],
 ])
 def test_usage_errors(capsys, argv):
     rc, _out, err = run_cli(capsys, argv)
@@ -139,6 +149,25 @@ def test_nested_expr_past_parser_ceiling_fails_fast():
     assert out.stderr.startswith(
         "error: --expr: expression nested too deeply")
     assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--family", "u6", "--N", str(2 ** 30)],
+    ["verify", "--family", "u3", "--b", "3", "--n", str(10 ** 10)],
+    ["audit", "--draws", str(10 ** 9)],
+])
+def test_oversized_inputs_fail_fast(argv):
+    # past its budget each would ask for gigabytes or hours of work; a
+    # fresh interpreter under a timeout shows it ends at once instead
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-m", "mdpv.cli", *argv,
+                          "--json"], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == EXIT_USAGE
+    assert out.stderr.startswith("error:")
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stdout == ""
 
 
 def test_version_flag():

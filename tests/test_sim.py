@@ -10,7 +10,7 @@ import pytest
 from mdpv.catalog import FamilyInstance
 from mdpv.expr import compile_fn
 from mdpv.sim import (
-    BlowUpError, Grid, InadmissibleFamilyError, SimConfig, SimReport,
+    MAX_N, BlowUpError, Grid, InadmissibleFamilyError, SimConfig, SimReport,
     SimState, _operators, _PeakTracker, _rk4, cfl_limit, flux_divergence,
     helmholtz_solve, rhs, run, step_rk4, write_snapshots_csv,
 )
@@ -58,10 +58,15 @@ def test_grid_geometry():
 
 
 @pytest.mark.parametrize("n,length", [(100, 40.0), (32, 40.0),
-                                      (256, 0.0), (256, -1.0)])
+                                      (256, 0.0), (256, -1.0),
+                                      (2 * MAX_N, 40.0), (2 ** 30, 40.0)])
 def test_grid_rejects_bad_geometry(n, length):
     with pytest.raises(ValueError):
         Grid(n, length)
+
+
+def test_grid_budget_admits_its_bound():
+    assert Grid(MAX_N, 40.0).n == MAX_N
 
 
 def test_state_mass_and_checks():
