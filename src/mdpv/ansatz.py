@@ -35,8 +35,7 @@ from fractions import Fraction
 
 from .expr import (
     Add, ExactnessError, Expr, Sym, _exact_root, add, con, cosh, diff,
-    evaluate, evaluate_exact, exp, format_expr, log, mul, pow_, simplify,
-    sinh, substitute_map,
+    evaluate, evaluate_exact, exp, format_expr, log, mul, pow_, sinh,
 )
 from . import polytools as pt
 from .catalog import method_tag
@@ -48,7 +47,6 @@ __all__ = [
     "balance_m", "BALANCE_PAIRS", "CHOSEN_DEGREE", "CLEARING_POWER",
     "laurent_residual", "tanh_coth_system",
     "system_for_family", "family_system_env",
-    "verify_family_against_system",
 ]
 
 
@@ -129,16 +127,6 @@ class AlgebraicSystem:
     def holds_exactly(self, env: dict[str, Fraction]) -> bool:
         return all(evaluate_exact(eq, env) == 0 for eq in self.equations)
 
-    def substituted(self, env: dict[str, Expr | float]) -> \
-            "AlgebraicSystem":
-        sub = {k: _as_expr(v) for k, v in env.items()}
-        eqs = tuple(simplify(substitute_map(e, sub))
-                    for e in self.equations)
-        unknowns = tuple(u for u in self.unknowns if u not in sub)
-        return AlgebraicSystem(self.method, self.variable, unknowns,
-                               self.powers, eqs, self.normalization,
-                               self.distinct)
-
     def dump(self) -> list[dict]:
         return [{"power": p, "coefficient": format_expr(eq)}
                 for p, eq in zip(self.powers, self.equations)]
@@ -186,13 +174,6 @@ def _collect_powers(numerator: Expr, variables: tuple[str, ...],
     return {j: {m: c for m, c in g.items() if c} for j, g in groups.items()}
 
 
-def _maybe_substitute_b(system: AlgebraicSystem, b) -> AlgebraicSystem:
-    if b is None or (isinstance(b, str) and b == "b") or \
-            (isinstance(b, Sym) and b.name == "b"):
-        return system
-    return system.substituted({"b": b})
-
-
 def _quotient_step(num: Expr, k: int, op: Expr, den: Expr,
                    var: str) -> tuple[Expr, int]:
     """Apply op * d/dvar to num / den^k by the quotient rule; the
@@ -233,7 +214,9 @@ _CH_VARS = ("z", "amp", "bg", "mu", "lam", "b")
 
 
 @functools.cache
-def _cole_hopf_system_symbolic() -> AlgebraicSystem:
+def cole_hopf_system() -> AlgebraicSystem:
+    """Coefficient system of the exponential-kernel route, collected in
+    the traveling exponential, with b symbolic."""
     z = Sym("z")
     A, B, mu, lam, b = (Sym(s) for s in ("amp", "bg", "mu", "lam", "b"))
     w = add(con(1), z)
@@ -265,12 +248,6 @@ def _cole_hopf_system_symbolic() -> AlgebraicSystem:
         "(both are nonzero by construction); rational content removed")
 
 
-def cole_hopf_system(b="b") -> AlgebraicSystem:
-    """Coefficient system of the exponential-kernel route, collected in
-    the traveling exponential; b may stay symbolic or be a number."""
-    return _maybe_substitute_b(_cole_hopf_system_symbolic(), b)
-
-
 # ---------------------------------------------------------------------
 # route 2: rational hyperbolic ansatz
 
@@ -288,7 +265,8 @@ _HYP_VARS = ("z", "lam", "a0", "a1", "a2", "c1", "c2", "b")
 
 
 @functools.cache
-def _rational_hyperbolic_system_symbolic() -> AlgebraicSystem:
+def rational_hyperbolic_system() -> AlgebraicSystem:
+    """Coefficient system of the rational hyperbolic route."""
     z = Sym("z")
     lam, a0, a1, a2, c1, c2, b = (Sym(s) for s in _HYP_VARS[1:])
     # numerator and denominator scaled by 2 e^xi, in z = e^xi
@@ -316,11 +294,6 @@ def _rational_hyperbolic_system_symbolic() -> AlgebraicSystem:
         "multiplied by denominator^5 in the exponential variable; "
         "common exponential powers dropped (collection variable is "
         "nonvanishing); rational content removed")
-
-
-def rational_hyperbolic_system(b="b") -> AlgebraicSystem:
-    """Coefficient system of the rational hyperbolic route."""
-    return _maybe_substitute_b(_rational_hyperbolic_system_symbolic(), b)
 
 
 # ---------------------------------------------------------------------
@@ -361,7 +334,8 @@ _TC_VARS = _TC_UNKNOWNS + ("b",)
 
 
 @functools.cache
-def _tanh_coth_system_symbolic() -> AlgebraicSystem:
+def tanh_coth_system() -> AlgebraicSystem:
+    """Coefficient system of the quadratic-ODE kernel route."""
     cleared = laurent_residual(*(Sym(n) for n in
                                  ("a0", "a1", "a2", "c1", "c2", "alpha",
                                   "beta", "gamma", "lam", "b")))
@@ -372,11 +346,6 @@ def _tanh_coth_system_symbolic() -> AlgebraicSystem:
         "kernel powers collected directly from the Laurent residual; "
         "powers quoted before the phi^7 clearing shift; rational "
         "content removed")
-
-
-def tanh_coth_system(b="b") -> AlgebraicSystem:
-    """Coefficient system of the quadratic-ODE kernel route."""
-    return _maybe_substitute_b(_tanh_coth_system_symbolic(), b)
 
 
 # ---------------------------------------------------------------------
@@ -418,46 +387,10 @@ def _tc_env(b: float, lam, a0, a1, a2, c1, c2, alpha, beta,
             "b": b}
 
 
-def _env_u1(b, p, aux):
-    return _ch_env(+1, b, p["mu"])
-
-
-def _env_u2(b, p, aux):
-    return _ch_env(-1, b, p["mu"])
-
-
-def _env_u3(b, p, aux):
-    return _hyp_env(b, -b / 2, -(3 * b + 5) / (b + 1), 0,
-                    1 / (b + 1), 0, 1)
-
-
-def _env_u4(b, p, aux):
-    return _hyp_env(b, -b / 2, -(3 * b + 5) / (b + 1), 0,
-                    -1 / (b + 1), 0, -1)
-
-
-def _env_u5(b, p, aux):
-    return _hyp_env(b, -b / 2 - 1, -3 * (b + 2) / (b + 1), 0, 0,
-                    0, -1)
-
-
-def _env_u6(b, p, aux):
-    return _hyp_env(b, -b / 2 - 1, -3 * (b + 2) / (b + 1), 0, 0,
-                    0, 1)
-
-
 def _env_u78(sign: int, b: float, a2: float) -> dict[str, float]:
     s = _sqrt_checked((b + 1) ** 2 * a2 ** 2 - 1, "hyperbolic root")
     return _hyp_env(b, -b / 2, -(3 * b + 5) / (b + 1),
                     sign * s / (b + 1), a2, sign * s, a2 * (b + 1))
-
-
-def _env_u7(b, p, aux):
-    return _env_u78(-1, b, p["a2"])
-
-
-def _env_u8(b, p, aux):
-    return _env_u78(+1, b, p["a2"])
 
 
 def _env_u910(sign: int, b: float, c2: float) -> dict[str, float]:
@@ -466,17 +399,7 @@ def _env_u910(sign: int, b: float, c2: float) -> dict[str, float]:
                     sign * s, c2)
 
 
-def _env_u9(b, p, aux):
-    return _env_u910(+1, b, p["c2"])
-
-
-def _env_u10(b, p, aux):
-    return _env_u910(-1, b, p["c2"])
-
-
-def _env_u11(b, p, aux):
-    beta = p["beta"]
-    alpha = aux.get("alpha", 1.0) if aux else 1.0
+def _env_u11(b: float, beta: float, alpha: float) -> dict[str, float]:
     gamma = beta ** 2 / (4 * alpha)
     k = 6 * (b + 2) / (b + 1)
     return _tc_env(b, -b - 1, 3 * (b + 2) * beta ** 2 / (2 * (b + 1)) - 1,
@@ -495,14 +418,6 @@ def _env_u1213(sign: int, b: float, beta: float,
                    0, beta, gamma)
 
 
-def _env_u12(b, p, aux):
-    return _env_u1213(-1, b, p["beta"], p["gamma"])
-
-
-def _env_u13(b, p, aux):
-    return _env_u1213(+1, b, p["beta"], p["gamma"])
-
-
 def _env_u1415(sign: int, b: float, alpha: float,
                gamma: float) -> dict[str, float]:
     s = _sqrt_checked(b * (b + 2) * (1 - 256 * alpha ** 2 * gamma ** 2)
@@ -516,14 +431,6 @@ def _env_u1415(sign: int, b: float, alpha: float,
                    alpha, 0, gamma)
 
 
-def _env_u14(b, p, aux):
-    return _env_u1415(-1, b, p["alpha"], p["gamma"])
-
-
-def _env_u15(b, p, aux):
-    return _env_u1415(+1, b, p["alpha"], p["gamma"])
-
-
 def _env_u16_19(sign: int, keep_a2: bool, b: float, alpha: float,
                 gamma: float) -> dict[str, float]:
     s = _sqrt_checked(b * (b + 2) * (1 - 16 * alpha ** 2 * gamma ** 2)
@@ -535,22 +442,6 @@ def _env_u16_19(sign: int, keep_a2: bool, b: float, alpha: float,
     c2 = 0 if keep_a2 else k * alpha ** 2
     return _tc_env(b, (-b + sign * s - 1) / 2, a0, 0, a2, 0, c2,
                    alpha, 0, gamma)
-
-
-def _env_u16(b, p, aux):
-    return _env_u16_19(-1, False, b, p["alpha"], p["gamma"])
-
-
-def _env_u17(b, p, aux):
-    return _env_u16_19(-1, True, b, p["alpha"], p["gamma"])
-
-
-def _env_u18(b, p, aux):
-    return _env_u16_19(+1, False, b, p["alpha"], p["gamma"])
-
-
-def _env_u19(b, p, aux):
-    return _env_u16_19(+1, True, b, p["alpha"], p["gamma"])
 
 
 def _env_u20_23(sign: int, inverse_branch: bool, b: float, alpha: float,
@@ -572,29 +463,44 @@ def _env_u20_23(sign: int, inverse_branch: bool, b: float, alpha: float,
                    alpha, beta, gamma)
 
 
-def _env_u20(b, p, aux):
-    return _env_u20_23(-1, False, b, p["alpha"], p["beta"], p["gamma"])
-
-
-def _env_u21(b, p, aux):
-    return _env_u20_23(+1, False, b, p["alpha"], p["beta"], p["gamma"])
-
-
-def _env_u22(b, p, aux):
-    return _env_u20_23(+1, True, b, p["alpha"], p["beta"], p["gamma"])
-
-
-def _env_u23(b, p, aux):
-    return _env_u20_23(-1, True, b, p["alpha"], p["beta"], p["gamma"])
-
-
+# family -> (b, closed-form params, aux) -> substitution environment
 _ENV_BUILDERS = {
-    "u1": _env_u1, "u2": _env_u2, "u3": _env_u3, "u4": _env_u4,
-    "u5": _env_u5, "u6": _env_u6, "u7": _env_u7, "u8": _env_u8,
-    "u9": _env_u9, "u10": _env_u10, "u11": _env_u11, "u12": _env_u12,
-    "u13": _env_u13, "u14": _env_u14, "u15": _env_u15, "u16": _env_u16,
-    "u17": _env_u17, "u18": _env_u18, "u19": _env_u19, "u20": _env_u20,
-    "u21": _env_u21, "u22": _env_u22, "u23": _env_u23,
+    "u1": lambda b, p, aux: _ch_env(+1, b, p["mu"]),
+    "u2": lambda b, p, aux: _ch_env(-1, b, p["mu"]),
+    "u3": lambda b, p, aux: _hyp_env(b, -b / 2, -(3 * b + 5) / (b + 1), 0,
+                                     1 / (b + 1), 0, 1),
+    "u4": lambda b, p, aux: _hyp_env(b, -b / 2, -(3 * b + 5) / (b + 1), 0,
+                                     -1 / (b + 1), 0, -1),
+    "u5": lambda b, p, aux: _hyp_env(b, -b / 2 - 1, -3 * (b + 2) / (b + 1),
+                                     0, 0, 0, -1),
+    "u6": lambda b, p, aux: _hyp_env(b, -b / 2 - 1, -3 * (b + 2) / (b + 1),
+                                     0, 0, 0, 1),
+    "u7": lambda b, p, aux: _env_u78(-1, b, p["a2"]),
+    "u8": lambda b, p, aux: _env_u78(+1, b, p["a2"]),
+    "u9": lambda b, p, aux: _env_u910(+1, b, p["c2"]),
+    "u10": lambda b, p, aux: _env_u910(-1, b, p["c2"]),
+    "u11": lambda b, p, aux: _env_u11(
+        b, p["beta"], aux.get("alpha", 1.0) if aux else 1.0),
+    "u12": lambda b, p, aux: _env_u1213(-1, b, p["beta"], p["gamma"]),
+    "u13": lambda b, p, aux: _env_u1213(+1, b, p["beta"], p["gamma"]),
+    "u14": lambda b, p, aux: _env_u1415(-1, b, p["alpha"], p["gamma"]),
+    "u15": lambda b, p, aux: _env_u1415(+1, b, p["alpha"], p["gamma"]),
+    "u16": lambda b, p, aux: _env_u16_19(-1, False, b, p["alpha"],
+                                         p["gamma"]),
+    "u17": lambda b, p, aux: _env_u16_19(-1, True, b, p["alpha"],
+                                         p["gamma"]),
+    "u18": lambda b, p, aux: _env_u16_19(+1, False, b, p["alpha"],
+                                         p["gamma"]),
+    "u19": lambda b, p, aux: _env_u16_19(+1, True, b, p["alpha"],
+                                         p["gamma"]),
+    "u20": lambda b, p, aux: _env_u20_23(-1, False, b, p["alpha"],
+                                         p["beta"], p["gamma"]),
+    "u21": lambda b, p, aux: _env_u20_23(+1, False, b, p["alpha"],
+                                         p["beta"], p["gamma"]),
+    "u22": lambda b, p, aux: _env_u20_23(+1, True, b, p["alpha"],
+                                         p["beta"], p["gamma"]),
+    "u23": lambda b, p, aux: _env_u20_23(-1, True, b, p["alpha"],
+                                         p["beta"], p["gamma"]),
 }
 
 
@@ -602,16 +508,16 @@ _ENV_BUILDERS = {
 # time, so a wrapper installed on the module attribute (as the
 # benchmark's tracing does) also sees calls made through this table
 _SYSTEM_BUILDERS = {
-    "colehopf": lambda b: cole_hopf_system(b),
-    "hyperbolic": lambda b: rational_hyperbolic_system(b),
-    "tanhcoth": lambda b: tanh_coth_system(b),
+    "colehopf": lambda: cole_hopf_system(),
+    "hyperbolic": lambda: rational_hyperbolic_system(),
+    "tanhcoth": lambda: tanh_coth_system(),
 }
 
 
-def system_for_family(fid: str, b="b") -> AlgebraicSystem:
+def system_for_family(fid: str) -> AlgebraicSystem:
     if fid not in _ENV_BUILDERS:
         raise KeyError(f"unknown family '{fid}' (expected u1..u23)")
-    return _SYSTEM_BUILDERS[method_tag(fid)](b)
+    return _SYSTEM_BUILDERS[method_tag(fid)]()
 
 
 def family_system_env(fid: str, b: float, params: dict[str, float],
@@ -627,14 +533,3 @@ def family_system_env(fid: str, b: float, params: dict[str, float],
     if not isinstance(b, Fraction):
         b = float(b)
     return _ENV_BUILDERS[fid](b, params, aux)
-
-
-def verify_family_against_system(fid: str, b: float,
-                                 params: dict[str, float],
-                                 tol: float = 1e-10,
-                                 aux: dict[str, float] | None = None,
-                                 ) -> bool:
-    """True iff the family's parameter map annihilates every equation
-    of its route's regenerated system at these values."""
-    env = family_system_env(fid, b, params, aux)
-    return system_for_family(fid).holds_at(env, tol)

@@ -70,9 +70,6 @@ class Family:
     singular_denoms: tuple   # expressions of xi whose zeros are poles
     draw: Callable           # (rng, b) -> params dict
 
-    def bound_symbols(self) -> frozenset:
-        return frozenset(("b",) + self.parameters)
-
 
 def _check(label: str, e: Expr, kind: str):
     return (label, simplify(e), kind)

@@ -658,10 +658,7 @@ def cmd_simulate(args) -> int:
         return _fail(f"blow-up at t = {exc.t:g} (peak {exc.peak:.3e})",
                      EXIT_BLOWUP)
     except ValueError as exc:
-        # the stability guard is a validity refusal; anything else
-        # (horizon/step mismatch, step budget) is a flag problem
-        if "guard" in str(exc):
-            return _fail(str(exc), EXIT_INVALID)
+        # horizon/step mismatch, step or snapshot budget: a flag problem
         raise UsageError(str(exc)) from None
     summary = report.summary()
     for key, value in summary.items():

@@ -1125,25 +1125,15 @@ def _simp(t: Expr, memo: Mapping[Expr, Expr], walk) -> Expr:
     if isinstance(t, Pow):
         b = memo[t.base]
         x = memo[t.exponent]
+        # pow_ folds exponents 0 and 1, bases 0 and 1 and small integer
+        # powers of rationals; simplify adds the two folds below
         if isinstance(x, Const) and x.is_rational:
             xv = x.value
-            if xv == 0:
-                return ONE
-            if xv == 1:
-                return b
-            if isinstance(b, Const) and b.is_rational:
-                bv = b.value
-                if bv == 1:
-                    return ONE
-                if bv == 0 and xv > 0:
-                    return ZERO
-                if xv.denominator == 1 and abs(xv) <= _FOLD_POW_LIMIT \
-                        and bv != 0:
-                    return Const(bv ** int(xv))
-                if xv == Fraction(1, 2):
-                    folded = _sqrt_fold(bv)
-                    if folded is not None:
-                        return folded
+            if xv == Fraction(1, 2) and isinstance(b, Const) and \
+                    b.is_rational:
+                folded = _sqrt_fold(b.value)
+                if folded is not None:
+                    return folded
             if isinstance(b, Pow) and isinstance(b.exponent, Const) and \
                     b.exponent.is_rational and \
                     b.exponent.value.denominator == 1 and \

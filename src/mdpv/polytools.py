@@ -27,7 +27,7 @@ from .expr import (
 __all__ = [
     "NotPolynomial", "Poly",
     "to_poly", "from_poly", "poly_add", "poly_mul", "poly_pow",
-    "poly_scale", "poly_is_zero", "total_degree", "graded_lex_terms",
+    "poly_is_zero", "total_degree", "graded_lex_terms",
     "normalize_primitive", "strip_monomial_gcd", "proportional",
 ]
 
@@ -61,12 +61,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
             else:
                 out.pop(m, None)
     return out
-
-
-def poly_scale(p: Poly, c: Fraction) -> Poly:
-    if not c:
-        return {}
-    return {m: v * c for m, v in p.items()}
 
 
 def poly_pow(p: Poly, n: int, nvars: int) -> Poly:

@@ -17,8 +17,9 @@ interchangeable spatial discretizations sit behind a scheme tag:
 Both are applied as multipliers from one table of Fourier symbols, and
 the Helmholtz inverse is exact division by the symbol of (1 - dxx).
 
-Time stepping is classical RK4 with a step budget and a step-size
-guard checked at run start and a blow-up sentinel checked every step.
+Time stepping is classical RK4 with step and snapshot budgets and a
+step-size guard checked at run start and a blow-up sentinel checked
+every step.
 A run integrates a catalog instance as a manufactured solution: it
 reports the final sup-norm error against the exact translated profile,
 the relative drift of the conserved mean, and the wave speed measured
@@ -42,6 +43,7 @@ __all__ = [
     "BlowUpError", "InadmissibleFamilyError", "SCHEMES",
     "helmholtz_solve", "flux_divergence", "rhs", "step_rk4", "run",
     "cfl_limit", "write_snapshots_csv", "MAX_STEPS", "MAX_N",
+    "MAX_SNAPSHOT_POINTS",
 ]
 
 SCHEMES = ("spectral", "fd4")
@@ -55,6 +57,12 @@ MAX_STEPS = 1_000_000
 # half a megabyte per array
 MAX_N = 65_536
 
+# snapshot budget of one run, in stored grid points (snapshots times N),
+# checked before any work: each point keeps two floats, so the budget is
+# 16 MB; the largest request of the examples, tests and benchmark is
+# 5 snapshots at 2 048 points
+MAX_SNAPSHOT_POINTS = 1 << 20
+
 
 class BlowUpError(RuntimeError):
     """The numerical solution left the trusted range."""
@@ -66,9 +74,10 @@ class BlowUpError(RuntimeError):
 
 
 class InadmissibleFamilyError(ValueError):
-    """The requested instance cannot be simulated on this grid: its
-    profile is singular on the swept interval or its tails have not
-    flattened at the domain edge."""
+    """The requested run cannot be simulated as set up: the instance's
+    profile is singular on the swept interval, its tails have not
+    flattened at the domain edge, or dt exceeds the step-size guard for
+    its initial state."""
 
 
 # ---------------------------------------------------------------------
@@ -364,6 +373,13 @@ def run(inst: FamilyInstance, cfg: SimConfig, grid: Grid) -> SimReport:
     if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.dt:
         raise ValueError("t_final must be a positive integer multiple "
                          "of dt")
+    # a spacing of at most one step already hits every step, so more
+    # points than steps add nothing but memory
+    n_snaps = min(cfg.snapshots, n_steps + 1)
+    if n_snaps * grid.n > MAX_SNAPSHOT_POINTS:
+        raise ValueError(f"{n_snaps} snapshots of {grid.n} points exceed "
+                         f"the budget of {MAX_SNAPSHOT_POINTS} stored "
+                         f"points")
     t_end = n_steps * cfg.dt
 
     lam = inst.speed()
@@ -374,13 +390,11 @@ def run(inst: FamilyInstance, cfg: SimConfig, grid: Grid) -> SimReport:
     u0 = np.asarray(profile_fn(x), dtype=float)
     guard = cfl_limit(u0, grid)
     if cfg.dt > guard:
-        raise ValueError(f"dt = {cfg.dt:.3e} exceeds the step-size "
-                         f"guard {guard:.3e} for this initial state")
+        raise InadmissibleFamilyError(
+            f"dt = {cfg.dt:.3e} exceeds the step-size guard {guard:.3e} "
+            f"for this initial state")
 
-    # a spacing of at most one step already hits every step, so more
-    # points than steps add nothing but memory
-    snap_steps = sorted({int(round(s)) for s in np.linspace(
-        0, n_steps, min(cfg.snapshots, n_steps + 1))})
+    snap_steps = {int(round(s)) for s in np.linspace(0, n_steps, n_snaps)}
     state = SimState.of(0.0, u0, grid)
     mass0 = state.mass
     mass_scale = max(abs(mass0), grid.dx * float(np.abs(u0).sum()),

@@ -14,7 +14,7 @@ import numpy as np
 import mdpv.polytools as pt
 from mdpv.ansatz import (
     CHOSEN_DEGREE, balance_m, cole_hopf_system, family_system_env,
-    verify_family_against_system,
+    system_for_family,
 )
 from mdpv.catalog import (
     FamilyInstance, draw_params, family, family_ids,
@@ -127,7 +127,8 @@ def test_system_regeneration():
         rng = np.random.default_rng([3, int(fid[1:])])
         for b in B_GRID:
             params = draw_params(fid, rng, b)
-            assert verify_family_against_system(fid, b, params), (fid, b)
+            env = family_system_env(fid, b, params)
+            assert system_for_family(fid).holds_at(env), (fid, b)
 
     # every quadratic-kernel family annihilates that route's system
     for fid in [f"u{i}" for i in range(11, 24)]:
@@ -136,8 +137,8 @@ def test_system_regeneration():
             params = draw_params(fid, rng, b)
             aux = {"alpha": float(rng.uniform(0.5, 2.0))} \
                 if fid == "u11" else None
-            assert verify_family_against_system(fid, b, params,
-                                                aux=aux), (fid, b)
+            env = family_system_env(fid, b, params, aux)
+            assert system_for_family(fid).holds_at(env), (fid, b)
     _verdict("regenerated coefficient systems",
              f"first circulated row regenerated; exponential families"
              f" max |eq| {worst_exp:.2e} <= 1e-10 at 40 points;"

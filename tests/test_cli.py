@@ -530,6 +530,22 @@ def test_simulate_past_step_budget_is_a_usage_error(T, dt):
     assert len(out.stderr.splitlines()) == 1
 
 
+def test_simulate_past_snapshot_budget_is_a_usage_error():
+    # 10^6 steps is inside the step budget, but keeping 10^6 + 1
+    # snapshots of 512 points would take about 8 GB; a fresh interpreter
+    # with a short timeout stops a run that allocates instead of exiting
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-m", "mdpv.cli", "simulate",
+                          "--family", "u6", "--T", "500",
+                          "--snapshots", "1000001", "--json"], env=env,
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == EXIT_USAGE
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and "snapshots" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------
 # audit
 

@@ -387,7 +387,8 @@ def test_run_rejects_fat_tails():
 
 
 def test_run_rejects_cfl_violation():
-    with pytest.raises(ValueError, match="guard"):
+    # an inadmissible setup (exit 2 in the CLI), not a flag error
+    with pytest.raises(InadmissibleFamilyError, match="guard"):
         run(_u6(), SimConfig(b=3.0, dt=0.5, t_final=1.0),
             Grid(512, 40.0))
 
