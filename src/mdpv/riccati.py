@@ -23,7 +23,7 @@ import numpy as np
 
 from .expr import (
     Call, Const, EvalError, Expr, compile_fn, con, cos, diff, evaluate,
-    exp, postorder, simplify, sqrt, sym, tan, tanh,
+    exp, postorder, simplify, sinh, sqrt, sym, tan, tanh,
 )
 from .residual import ResidualReport, find_zeros
 
@@ -122,7 +122,10 @@ def solution(alpha: Coeff, beta: Coeff = None, gamma: Coeff = None,
     poles: tuple = ()
 
     if case == "1":
-        denom = -g + b * exp(-b * xi)
+        # b*exp(-b*xi) - g, written so that it does not cancel when b*xi
+        # is tiny: exp(-b*xi) rounds to 1 there and the plain form is
+        # zero at every node near a = 0, b = g
+        denom = (b - g) - 2 * b * exp(-b * xi / 2) * sinh(b * xi / 2)
         phi = b / denom
         poles = (denom,)
     elif case == "2":

@@ -17,9 +17,14 @@ interchangeable spatial discretizations sit behind a scheme tag:
 Both are applied as multipliers from one table of Fourier symbols, and
 the Helmholtz inverse is exact division by the symbol of (1 - dxx).
 
-Time stepping is classical RK4 with step and snapshot budgets and a
-step-size guard checked at run start and a blow-up sentinel checked
-every step.
+Time stepping is classical RK4 whose stages run on rfft coefficients:
+each stage takes three inverse transforms (u, u_x, u_xx), builds the
+flux from products, and takes one forward transform and a multiply by
+the symbol of d/dx followed by the Helmholtz inverse, so four
+transforms per stage.  Only the step's increment returns to the grid.
+Step and snapshot budgets and a step-size guard are checked at run
+start, and a blow-up sentinel, which also catches a stage that
+overflows, every step.
 A run integrates a catalog instance as a manufactured solution: it
 reports the final sup-norm error against the exact translated profile,
 the relative drift of the conserved mean, and the wave speed measured
@@ -159,15 +164,17 @@ def cfl_limit(u0: np.ndarray, grid: Grid) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _operators(grid: Grid, scheme: str):
-    """Fourier symbols (d1, d2, 1 - d2) of the scheme's first and second
-    derivatives and of its Helmholtz operator, on the real-transform
-    modes of the grid.
+    """Fourier symbols (d1, d2, 1 - d2, d1 / (1 - d2)) of the scheme's
+    first and second derivatives, of its Helmholtz operator and of one
+    right-hand-side stage (Helmholtz inverse after d/dx), on the
+    real-transform modes of the grid.
 
     Both schemes are circulant on the periodic grid, so the DFT
     diagonalizes them exactly and every operator is a multiplier: ik
     and -k^2 for spectral, the symbols of the 5-point stencils at
-    theta = k*dx for fd4.  d1 drops the unpaired Nyquist mode.  The
-    arrays are shared by every caller and therefore read-only.
+    theta = k*dx for fd4.  d1 drops the unpaired Nyquist mode, and so
+    does the stage symbol.  The arrays are shared by every caller and
+    therefore read-only.
     """
     k = grid.wavenumbers()
     if scheme == "spectral":
@@ -182,10 +189,30 @@ def _operators(grid: Grid, scheme: str):
     else:
         raise ValueError(f"unknown scheme '{scheme}'")
     d1[-1] = 0.0
-    ops = (d1, d2, 1.0 - d2)
+    helmholtz = 1.0 - d2
+    ops = (d1, d2, helmholtz, d1 / helmholtz)
     for a in ops:
         a.flags.writeable = False
     return ops
+
+
+def _flux_hat(u_hat: np.ndarray, cfg: SimConfig,
+              grid: Grid) -> np.ndarray:
+    """rfft coefficients of the flux -(b+1)u^3/3 + u u_xx + (b-1)u_x^2/2
+    from those of u: three inverse transforms (u, u_x, u_xx) and one
+    forward.
+
+    The flux is built from products only: u ** 3 calls the C library's
+    pow on every element, which costs as much as the rest of a stage.
+    """
+    d1, d2 = _operators(grid, cfg.scheme)[:2]
+    n, b = grid.n, cfg.b
+    u = np.fft.irfft(u_hat, n)
+    ux = np.fft.irfft(d1 * u_hat, n)
+    uxx = np.fft.irfft(d2 * u_hat, n)
+    f = (-(b + 1.0) / 3.0 * u) * (u * u) + u * uxx \
+        + 0.5 * (b - 1.0) * ux * ux
+    return np.fft.rfft(f)
 
 
 def helmholtz_solve(f: np.ndarray, grid: Grid,
@@ -208,19 +235,21 @@ def flux_divergence(u: np.ndarray, cfg: SimConfig,
     """
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite input state")
-    d1, d2, _ = _operators(grid, cfg.scheme)
-    b = cfg.b
-    u_hat = np.fft.rfft(u)
-    ux = np.fft.irfft(d1 * u_hat, grid.n)
-    uxx = np.fft.irfft(d2 * u_hat, grid.n)
-    f = -(b + 1.0) / 3.0 * u ** 3 + u * uxx + 0.5 * (b - 1.0) * ux * ux
-    return np.fft.irfft(d1 * np.fft.rfft(f), grid.n)
+    d1 = _operators(grid, cfg.scheme)[0]
+    return np.fft.irfft(d1 * _flux_hat(np.fft.rfft(u), cfg, grid), grid.n)
+
+
+def _rhs_hat(u_hat: np.ndarray, cfg: SimConfig, grid: Grid) -> np.ndarray:
+    """rfft coefficients of u_t from those of u: the flux's, times the
+    stage symbol d1 / (1 - d2); four transforms in all."""
+    return _operators(grid, cfg.scheme)[3] * _flux_hat(u_hat, cfg, grid)
 
 
 def rhs(u: np.ndarray, cfg: SimConfig, grid: Grid) -> np.ndarray:
     """u_t evaluated on u: Helmholtz inverse of the flux divergence."""
-    return helmholtz_solve(flux_divergence(u, cfg, grid), grid,
-                           cfg.scheme)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("non-finite input state")
+    return np.fft.irfft(_rhs_hat(np.fft.rfft(u), cfg, grid), grid.n)
 
 
 # ---------------------------------------------------------------------
@@ -229,19 +258,29 @@ def rhs(u: np.ndarray, cfg: SimConfig, grid: Grid) -> np.ndarray:
 def _rk4(u: np.ndarray, dt: float, cfg: SimConfig,
          grid: Grid) -> np.ndarray:
     """One classical Runge-Kutta step; dt may be negative (used by the
-    time-reversal sanity check)."""
-    k1 = rhs(u, cfg, grid)
-    k2 = rhs(u + 0.5 * dt * k1, cfg, grid)
-    k3 = rhs(u + 0.5 * dt * k2, cfg, grid)
-    k4 = rhs(u + dt * k3, cfg, grid)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    time-reversal sanity check).
+
+    The stages run on rfft coefficients; only the increment returns to
+    the grid, so dt = 0 gives back u exactly.
+    """
+    u_hat = np.fft.rfft(u)
+    k1 = _rhs_hat(u_hat, cfg, grid)
+    k2 = _rhs_hat(u_hat + 0.5 * dt * k1, cfg, grid)
+    k3 = _rhs_hat(u_hat + 0.5 * dt * k2, cfg, grid)
+    k4 = _rhs_hat(u_hat + dt * k3, cfg, grid)
+    return u + np.fft.irfft((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                            grid.n)
 
 
 def step_rk4(state: SimState, cfg: SimConfig, grid: Grid) -> SimState:
-    """Advance one step of cfg.dt; raises BlowUpError past the guard."""
-    u2 = _rk4(state.u, cfg.dt, cfg, grid)
+    """Advance one step of cfg.dt; raises BlowUpError past the guard or
+    when a stage overflows."""
+    # a non-finite stage leaves NaN or inf in every later transform and
+    # so in u2: the one test below covers all four stages
+    with np.errstate(all="ignore"):
+        u2 = _rk4(state.u, cfg.dt, cfg, grid)
+        peak = float(np.max(np.abs(u2)))
     t2 = state.t + cfg.dt
-    peak = float(np.max(np.abs(u2)))
     if not np.all(np.isfinite(u2)) or peak > cfg.blowup_threshold:
         raise BlowUpError(t2, peak)
     return SimState.of(t2, u2, grid)

@@ -530,6 +530,21 @@ def test_simulate_past_step_budget_is_a_usage_error(T, dt):
     assert len(out.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("scheme", ["spectral", "fd4"])
+def test_simulate_report_is_identical_across_processes(scheme):
+    # the report's float digits come from the FFT stages; two fresh
+    # interpreters with the same flags must print the same bytes
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "mdpv.cli", "simulate", "--family", "u6",
+            "--T", "0.2", "--scheme", scheme, "--seed", "1", "--json"]
+    outs = [subprocess.run(argv, env=env, capture_output=True, timeout=60)
+            for _ in range(2)]
+    assert [out.returncode for out in outs] == [EXIT_OK, EXIT_OK]
+    assert outs[0].stdout == outs[1].stdout
+    assert b'"linf_error"' in outs[0].stdout
+
+
 def test_simulate_past_snapshot_budget_is_a_usage_error():
     # 10^6 steps is inside the step budget, but keeping 10^6 + 1
     # snapshots of 512 points would take about 8 GB; a fresh interpreter

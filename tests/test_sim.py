@@ -3,6 +3,7 @@ solution oracles from the catalog, conservation, convergence order,
 and admissibility rejections."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from mdpv.catalog import FamilyInstance
 from mdpv.expr import compile_fn
 from mdpv.sim import (
     MAX_N, BlowUpError, Grid, InadmissibleFamilyError, SimConfig, SimReport,
-    SimState, _operators, _PeakTracker, _rk4, cfl_limit, flux_divergence,
+    SimState, _operators, _PeakTracker, _rhs_hat, _rk4, cfl_limit,
+    flux_divergence,
     helmholtz_solve, rhs, run, step_rk4, write_snapshots_csv,
 )
 
@@ -236,6 +238,60 @@ def test_rhs_traveling_identity_fd4_converges():
     assert devs[256] / devs[512] >= 8.0
 
 
+def _rhs_reference(u, cfg, g):
+    # the seven-transform composition the coefficient stages replace:
+    # flux with u ** 3, its derivative back on the grid, then the
+    # Helmholtz inverse from the grid
+    d1, d2, helmholtz = _operators(g, cfg.scheme)[:3]
+    b = cfg.b
+    u_hat = np.fft.rfft(u)
+    ux = np.fft.irfft(d1 * u_hat, g.n)
+    uxx = np.fft.irfft(d2 * u_hat, g.n)
+    f = -(b + 1.0) / 3.0 * u ** 3 + u * uxx + 0.5 * (b - 1.0) * ux * ux
+    div = np.fft.irfft(d1 * np.fft.rfft(f), g.n)
+    return np.fft.irfft(np.fft.rfft(div) / helmholtz, g.n)
+
+
+def _rk4_reference(u, dt, cfg, g):
+    k1 = _rhs_reference(u, cfg, g)
+    k2 = _rhs_reference(u + 0.5 * dt * k1, cfg, g)
+    k3 = _rhs_reference(u + 0.5 * dt * k2, cfg, g)
+    k4 = _rhs_reference(u + dt * k3, cfg, g)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _oracle_states(g):
+    x = g.nodes()
+    rng = np.random.default_rng(g.n)
+    smooth = sum(float(rng.uniform(-1, 1))
+                 * np.cos(2 * np.pi * m / g.length * x
+                          + float(rng.uniform(0, 7)))
+                 for m in range(1, 8))
+    return [(3.0, _profile_fn(_u6())(x)), (1.5, smooth)]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_stages_match_the_seven_transform_reference(scheme, n):
+    g = Grid(n, 40.0)
+    for b, u in _oracle_states(g):
+        cfg = SimConfig(b=b, dt=1e-3, t_final=1.0, scheme=scheme)
+        ref = _rhs_reference(u, cfg, g)
+        tol = 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(rhs(u, cfg, g) - ref)) <= tol
+        # the stage itself, coefficient by coefficient: irfft drops the
+        # imaginary part of the Nyquist coefficient, so a nonzero one
+        # shows only here
+        ref_hat = np.fft.rfft(ref)
+        stage = _rhs_hat(np.fft.rfft(u), cfg, g)
+        assert np.max(np.abs(stage - ref_hat)) \
+            <= 1e-13 * np.max(np.abs(ref_hat))
+        ref_step = _rk4_reference(u, cfg.dt, cfg, g)
+        step = step_rk4(SimState.of(0.0, u, g), cfg, g).u
+        assert np.max(np.abs(step - ref_step)) \
+            <= 1e-13 * np.max(np.abs(ref_step))
+
+
 # ---------------------------------------------------------------------
 # time stepping
 
@@ -286,6 +342,19 @@ def test_step_blow_up_raises():
         for _ in range(10):
             s = step_rk4(s, cfg, g)
     assert err.value.peak > 1e3
+
+
+def test_step_stage_overflow_is_a_blow_up():
+    # the flux's cube overflows inside the first stage, below the
+    # sentinel: a blow-up, reported without numpy warnings
+    g = Grid(128, 20.0)
+    s = SimState.of(0.0, 1e120 * np.exp(-g.nodes() ** 2), g)
+    cfg = SimConfig(b=3.0, dt=1e-3, t_final=1.0, blowup_threshold=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as err:
+            step_rk4(s, cfg, g)
+    assert err.value.t == pytest.approx(1e-3)
 
 
 def test_time_reversal_returns_initial_data():
