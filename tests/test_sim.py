@@ -292,6 +292,45 @@ def test_stages_match_the_seven_transform_reference(scheme, n):
             <= 1e-13 * np.max(np.abs(ref_step))
 
 
+def _rk4_unbatched(u, dt, cfg, g):
+    # the coefficient stages with one irfft call per field: u, u_x and
+    # u_xx, the product flux, one rfft, times the stage symbol
+    d1, d2, _helmholtz, stage_symbol = _operators(g, cfg.scheme)
+    b = cfg.b
+
+    def stage(u_hat):
+        v = np.fft.irfft(u_hat, g.n)
+        vx = np.fft.irfft(d1 * u_hat, g.n)
+        vxx = np.fft.irfft(d2 * u_hat, g.n)
+        f = (-(b + 1.0) / 3.0 * v) * (v * v) + v * vxx \
+            + 0.5 * (b - 1.0) * vx * vx
+        return stage_symbol * np.fft.rfft(f)
+
+    u_hat = np.fft.rfft(u)
+    k1 = stage(u_hat)
+    k2 = stage(u_hat + 0.5 * dt * k1)
+    k3 = stage(u_hat + 0.5 * dt * k2)
+    k4 = stage(u_hat + dt * k3)
+    return u + np.fft.irfft((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                            g.n)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_batched_steps_equal_the_unbatched_reference(scheme, n):
+    # the batched inverse transform does the same arithmetic in the same
+    # order, so the states must agree bit for bit, not to a tolerance
+    g = Grid(n, 40.0)
+    for b, u0 in _oracle_states(g):
+        cfg = SimConfig(b=b, dt=1e-3, t_final=1.0, scheme=scheme)
+        state, u = SimState.of(0.0, u0, g), u0
+        for _ in range(50):
+            state = step_rk4(state, cfg, g)
+            u = _rk4_unbatched(u, cfg.dt, cfg, g)
+            assert np.array_equal(state.u, u)
+            assert state.mass == g.dx * float(u.sum())
+
+
 # ---------------------------------------------------------------------
 # time stepping
 
