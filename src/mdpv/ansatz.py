@@ -183,6 +183,25 @@ def _quotient_step(num: Expr, k: int, op: Expr, den: Expr,
     return new, k + 1
 
 
+def _wave_numerator(num: Expr, k: int, op: Expr, den: Expr, var: str,
+                    lam: Expr, b: Expr) -> Expr:
+    """Wave ODE residual (b+1) U' U^2 - U U''' - lam U''' + lam U'
+    - b U' U'' of U = num / den^k, with d/dxi = op * d/dvar, times
+    den^m: U^(j) is a numerator over den^(k+j), so m = max(3k+1, 2k+3)
+    clears every term and leaves a polynomial."""
+    n1, k1 = _quotient_step(num, k, op, den, var)      # U'
+    n2, k2 = _quotient_step(n1, k1, op, den, var)      # U''
+    n3, k3 = _quotient_step(n2, k2, op, den, var)      # U'''
+    m = max(3 * k + 1, 2 * k + 3)
+    return add(
+        mul(add(b, con(1)), n1, num, num, pow_(den, m - 2 * k - k1)),
+        mul(con(-1), n3, num, pow_(den, m - k - k3)),
+        mul(con(-1), lam, n3, pow_(den, m - k3)),
+        mul(lam, n1, pow_(den, m - k1)),
+        mul(con(-1), b, n1, n2, pow_(den, m - k1 - k2)),
+    )
+
+
 # ---------------------------------------------------------------------
 # route 1: exponential-kernel transformation
 
@@ -274,19 +293,8 @@ def rational_hyperbolic_system() -> AlgebraicSystem:
             add(a2, mul(con(-1), a1)))
     Q = add(mul(add(c1, c2), pow_(z, 2)), mul(con(2), z),
             add(c2, mul(con(-1), c1)))
-    # d/dxi = z d/dz
-    N1, n1 = _quotient_step(P, 1, z, Q, "z")       # U'
-    N2, n2 = _quotient_step(N1, n1, z, Q, "z")     # U''
-    N3, n3 = _quotient_step(N2, n2, z, Q, "z")     # U'''
-    assert n3 == 4
-    # wave ODE residual times Q^5
-    total = add(
-        mul(add(b, con(1)), N1, P, P, Q),
-        mul(con(-1), N3, P),
-        mul(con(-1), lam, N3, Q),
-        mul(lam, N1, pow_(Q, 3)),
-        mul(con(-1), b, N1, N2),
-    )
+    # u = P / Q with d/dxi = z d/dz; the wave ODE residual times Q^5
+    total = _wave_numerator(P, 1, z, Q, "z", lam, b)
     groups = _collect_powers(total, _HYP_VARS)
     return _assemble_system(
         "hyperbolic", "exponential of the wave variable", _HYP_UNKNOWNS,
@@ -314,18 +322,7 @@ def laurent_residual(a0, a1, a2, c1, c2, alpha, beta, gamma, lam,
     P = add(c2, mul(c1, phi), mul(a0, pow_(phi, 2)), mul(a1, pow_(phi, 3)),
             mul(a2, pow_(phi, 4)))
     op = add(alpha, mul(beta, phi), mul(gamma, pow_(phi, 2)))
-    N1, n1 = _quotient_step(P, 2, op, phi, "phi")      # U'
-    N2, n2 = _quotient_step(N1, n1, op, phi, "phi")    # U''
-    N3, n3 = _quotient_step(N2, n2, op, phi, "phi")    # U'''
-    assert n3 == 5
-    # (b+1) U' U^2 - U U''' - lam U''' + lam U' - b U' U'', times phi^7
-    return add(
-        mul(add(b, con(1)), N1, P, P),
-        mul(con(-1), N3, P),
-        mul(con(-1), lam, N3, pow_(phi, 2)),
-        mul(lam, N1, pow_(phi, 4)),
-        mul(con(-1), b, N1, N2),
-    )
+    return _wave_numerator(P, 2, op, phi, "phi", lam, b)
 
 
 _TC_UNKNOWNS = ("lam", "a0", "a1", "a2", "c1", "c2", "alpha", "beta",

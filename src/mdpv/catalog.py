@@ -25,17 +25,17 @@ negative-control tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .expr import (
-    Expr, cos, cosh, cot, csc, evaluate, exp, format_expr, free_symbols,
-    simplify, sin, sinh, sqrt, sym, tan, tanh,
+    Expr, cos, cosh, cot, csc, evaluate, exp, format_expr, simplify, sin,
+    sinh, sqrt, substitute_map, sym, tan, tanh,
 )
 from .residual import (
-    EquationVariant, ResidualReport, classic_eq, distinct_points,
-    find_zeros, modified_eq, ode_residual, require_valid_b, scan,
+    ResidualReport, classic_eq, distinct_points, find_zeros, modified_eq,
+    ode_residual, require_valid_b, scan, traveling_profile,
 )
 
 __all__ = [
@@ -447,7 +447,6 @@ def profile_with_values(fid: str, b: float,
                         params: Mapping[str, float]) -> Expr:
     """The profile with b and parameters substituted (still symbolic
     in xi)."""
-    from .expr import substitute_map
     fam = family(fid)
     env = _env(fid, b, params)
     return simplify(substitute_map(fam.profile, env))
@@ -528,7 +527,6 @@ class FamilyInstance:
 
     def build(self) -> Expr:
         """The candidate solution u(x, t) on xi = x + lam*t."""
-        from .residual import traveling_profile
         return traveling_profile(self.profile(), self.speed())
 
     def singularities(self, window: tuple[float, float]) -> list[float]:

@@ -176,8 +176,9 @@ class Const(Expr):
         if isinstance(value, int):
             value = Fraction(value)
         elif isinstance(value, float):
-            if value == -0.0:
-                value = 0.0
+            # a float subclass such as numpy.float64 is keyed, and so
+            # interned, as the plain float it equals; -0.0 as 0.0
+            value = float(value) if value != 0.0 else 0.0
         elif not isinstance(value, Fraction):
             raise TypeError(f"unsupported constant type {type(value)!r}")
         # 1 == 1.0 in Python; the type keeps exact and float apart
@@ -294,7 +295,6 @@ _READY = object()
 
 ZERO = Const(0)
 ONE = Const(1)
-MINUS_ONE = Const(-1)
 HALF = Const(Fraction(1, 2))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .expr import (
     Add, Call, Const, Expr, ExprError, Mul, Pow, Sym, add, con, mul,

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .expr import (
-    Add, Const, Expr, compile_fn, con, diff, free_symbols, simplify, sym,
+    Add, Const, Expr, compile_fn, con, diff, free_symbols, substitute, sym,
 )
 
 __all__ = [
@@ -35,6 +35,14 @@ __all__ = [
     "pde_residual", "ode_residual", "traveling_profile",
     "ResidualReport", "scan", "find_zeros", "distinct_points",
 ]
+
+# a scan skips grid points this close to a declared exclusion
+EXCLUSION_RADIUS = 0.1
+
+# find_zeros samples its window at this many points and bisects each
+# bracket until it is narrower than REFINE_TOL
+ZERO_GRID_POINTS = 4001
+REFINE_TOL = 1e-10
 
 
 def _as_coeff(v) -> Expr:
@@ -74,40 +82,36 @@ def require_valid_b(b: float) -> None:
         raise ValueError(f"b = {b} is outside the admissible family")
 
 
-def pde_residual(u: Expr, eq: EquationVariant,
-                 x: str = "x", t: str = "t") -> Expr:
+def pde_residual(u: Expr, eq: EquationVariant) -> Expr:
     """Left-minus-right of the evolution equation for a candidate u(x,t)."""
     b = eq.b
     p = eq.convection_power
-    u_x = diff(u, x)
-    u_xx = diff(u_x, x)
-    u_xxx = diff(u_xx, x)
-    u_t = diff(u, t)
-    u_xxt = diff(u_xx, t)
+    u_x = diff(u, "x")
+    u_xx = diff(u_x, "x")
+    u_xxx = diff(u_xx, "x")
+    u_t = diff(u, "t")
+    u_xxt = diff(u_xx, "t")
     conv = u * u_x if p == 1 else u * u * u_x
     return (u_t - u_xxt + (b + 1) * conv - b * u_x * u_xx - u * u_xxx)
 
 
-def ode_residual(U: Expr, eq: EquationVariant, lam,
-                 xi: str = "xi") -> Expr:
+def ode_residual(U: Expr, eq: EquationVariant, lam) -> Expr:
     """Residual of the traveling-profile reduction on xi = x + lam*t."""
     b = eq.b
     lam_e = _as_coeff(lam)
-    Up = diff(U, xi)
-    Upp = diff(Up, xi)
-    Uppp = diff(Upp, xi)
+    Up = diff(U, "xi")
+    Upp = diff(Up, "xi")
+    Uppp = diff(Upp, "xi")
     conv = U if eq.convection_power == 1 else U * U
     return ((b + 1) * conv * Up - Uppp * U - lam_e * Uppp
             + lam_e * Up - b * Up * Upp)
 
 
-def traveling_profile(U: Expr, lam, xi: str = "xi",
-                      x: str = "x", t: str = "t") -> Expr:
+def traveling_profile(U: Expr, lam) -> Expr:
     """Substitute xi = x + lam*t, turning a profile into a candidate
     solution of the evolution equation."""
-    from .expr import substitute
     lam_e = _as_coeff(lam)
-    return substitute(U, xi, sym(x) + lam_e * sym(t))
+    return substitute(U, "xi", sym("x") + lam_e * sym("t"))
 
 
 @dataclass(frozen=True)
@@ -128,13 +132,13 @@ class ResidualReport:
 
 def scan(residual: Expr, env: Mapping[str, float],
          window: tuple[float, float] = (-8.0, 8.0), n: int = 257,
-         exclusions: Sequence[float] = (), tol: float = 1e-9,
-         exclusion_radius: float = 0.1) -> ResidualReport:
+         exclusions: Sequence[float] = (),
+         tol: float = 1e-9) -> ResidualReport:
     """Evaluate a residual on a uniform grid and judge it against the
     cancellation scale.
 
     The scan variable is the single free symbol of `residual` not bound
-    by `env`.  Grid points within `exclusion_radius` of a declared
+    by `env`.  Grid points within EXCLUSION_RADIUS of a declared
     exclusion are skipped.  Each top-level term is compiled and
     evaluated once; the scale is the largest finite term magnitude, and
     the residual's values are the left-to-right sum of the term values,
@@ -152,7 +156,7 @@ def scan(residual: Expr, env: Mapping[str, float],
     grid = np.linspace(window[0], window[1], n)
     keep = np.ones(n, dtype=bool)
     for x0 in exclusions:
-        keep &= np.abs(grid - x0) > exclusion_radius
+        keep &= np.abs(grid - x0) > EXCLUSION_RADIUS
     pts = grid[keep]
     excluded = int(n - pts.size)
     if pts.size == 0:
@@ -186,7 +190,6 @@ def scan(residual: Expr, env: Mapping[str, float],
 
 
 def find_zeros(f: Expr, var: str, window: tuple[float, float],
-               n: int = 4001, refine_tol: float = 1e-10,
                env: Mapping[str, float] | None = None) -> list[float]:
     """Zeros of a scalar expression on an open interval, including
     tangential ones (where the function touches zero without a sign
@@ -209,7 +212,7 @@ def find_zeros(f: Expr, var: str, window: tuple[float, float],
             np.asarray(func(x, *extra), dtype=float), x.shape)
 
     lo, hi = window
-    xs = np.linspace(lo, hi, n)
+    xs = np.linspace(lo, hi, ZERO_GRID_POINTS)
 
     def zeros_of(func, v: np.ndarray) -> np.ndarray:
         finite = np.isfinite(v[:-1]) & np.isfinite(v[1:])
@@ -220,7 +223,7 @@ def find_zeros(f: Expr, var: str, window: tuple[float, float],
         for _ in range(200):
             m = 0.5 * (a + b)
             fm = at(func, m)
-            stop = (b - a < refine_tol) | (fm == 0.0)
+            stop = (b - a < REFINE_TOL) | (fm == 0.0)
             # a stopped bracket collapses onto its midpoint and stays
             a, b = np.where(stop, m, a), np.where(stop, m, b)
             if stop.all():

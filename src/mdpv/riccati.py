@@ -35,6 +35,13 @@ __all__ = [
 
 XI = sym("xi")
 
+# branches are checked at seeded points of WINDOW, each more than
+# POLE_MARGIN from every pole the branch declares; the printed-form
+# audit draws AUDIT_POINTS of them with AUDIT_SEED
+WINDOW = (-5.0, 5.0)
+POLE_MARGIN = 0.1
+AUDIT_POINTS, AUDIT_SEED = 40, 3
+
 Coeff = Union[int, float, Fraction]
 
 
@@ -224,11 +231,10 @@ def _has_negative_radicand(e: Expr) -> bool:
     return False
 
 
-def _admissible_points(branch_poles, window, n, seed,
-                       margin: float = 0.1) -> np.ndarray:
+def _admissible_points(branch_poles, n, seed) -> np.ndarray:
     poles: list[float] = []
     for d in branch_poles:
-        poles.extend(find_zeros(d, "xi", window))
+        poles.extend(find_zeros(d, "xi", WINDOW))
     rng = np.random.default_rng(seed)
     pts: list[float] = []
     attempts = 0
@@ -236,19 +242,18 @@ def _admissible_points(branch_poles, window, n, seed,
         attempts += 1
         if attempts > 200 * n:
             raise RuntimeError("window too crowded with poles")
-        x = float(rng.uniform(*window))
-        if all(abs(x - p) > margin for p in poles):
+        x = float(rng.uniform(*WINDOW))
+        if all(abs(x - p) > POLE_MARGIN for p in poles):
             pts.append(x)
     return np.array(pts)
 
 
-def verify_branch(branch: RiccatiBranch, n: int = 40,
-                  window: tuple[float, float] = (-5.0, 5.0),
-                  seed: int = 0, tol: float = 1e-9) -> ResidualReport:
-    """Check phi' - (alpha + beta*phi + gamma*phi^2) at seeded points
-    away from the branch's poles, scaled by max |phi'|."""
+def verify_branch(branch: RiccatiBranch, n: int = 40, seed: int = 0,
+                  tol: float = 1e-9) -> ResidualReport:
+    """Check phi' - (alpha + beta*phi + gamma*phi^2) at n seeded points
+    of WINDOW away from the branch's poles, scaled by max |phi'|."""
     resid = ode_residual_of(branch.phi, branch.spec)
-    pts = _admissible_points(branch.pole_denoms, window, n, seed)
+    pts = _admissible_points(branch.pole_denoms, n, seed)
     rfun = compile_fn(resid, ["xi"])
     dfun = compile_fn(diff(branch.phi, "xi"), ["xi"])
     rv = np.broadcast_to(np.asarray(rfun(pts), dtype=float), pts.shape)
@@ -276,10 +281,10 @@ AUDIT_SPECS: dict[str, RiccatiSpec] = {
 }
 
 
-def audit_printed_forms(n: int = 40, seed: int = 3,
-                        tol: float = 1e-9) -> list[dict]:
+def audit_printed_forms(tol: float = 1e-9) -> list[dict]:
     """Measure every circulated table entry against the ODE it claims
-    to solve, next to the repaired branch.
+    to solve, next to the repaired branch: both at the same
+    AUDIT_POINTS points, drawn with AUDIT_SEED.
 
     max_residual_printed is None when the entry cannot be evaluated
     over the reals (negative radicand) or where no entry exists.
@@ -287,13 +292,14 @@ def audit_printed_forms(n: int = 40, seed: int = 3,
     rows = []
     for case, spec in AUDIT_SPECS.items():
         branch = solution(spec)
-        rep = verify_branch(branch, n=n, seed=seed, tol=tol)
+        rep = verify_branch(branch, n=AUDIT_POINTS, seed=AUDIT_SEED,
+                            tol=tol)
         printed = printed_solution(spec)
         printed_passes = False
         max_printed = None
         if printed is not None and not _has_negative_radicand(printed):
-            pts = _admissible_points(branch.pole_denoms, (-5.0, 5.0), n,
-                                     seed)
+            pts = _admissible_points(branch.pole_denoms, AUDIT_POINTS,
+                                     AUDIT_SEED)
             resid = ode_residual_of(printed, spec)
             dprinted = diff(printed, "xi")
             vals = []

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -197,25 +196,19 @@ def _operators(grid: Grid, scheme: str):
     return ops
 
 
-def _flux_hat(u_hat: np.ndarray, cfg: SimConfig,
-              grid: Grid) -> np.ndarray:
+def _flux_hat(u_hat: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+              n: int, b: float) -> np.ndarray:
     """rfft coefficients of the flux -(b+1)u^3/3 + u u_xx + (b-1)u_x^2/2
-    from those of u: one batched inverse call (u, u_x, u_xx) and one
-    forward call."""
-    d1, d2 = _operators(grid, cfg.scheme)[:2]
-    return _flux_hat_of(u_hat, d1, d2, grid.n, cfg.b)
+    from those of u, for the symbols d1, d2 of an n-point grid: times
+    d1 they give the flux divergence, times the stage symbol
+    d1 / (1 - d2) they give u_t.
 
-
-def _flux_hat_of(u_hat: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-                 n: int, b: float) -> np.ndarray:
-    """_flux_hat with the symbols already looked up.
-
-    The rows of one (3, n//2+1) array, u_hat, d1*u_hat and d2*u_hat,
-    go through a single irfft call: numpy transforms each row as it
-    would alone, so the three fields are bitwise those of three calls,
-    without two calls' worth of per-call overhead.  The flux is built
-    from products only: u ** 3 calls the C library's pow on every
-    element, which costs as much as the rest of a stage.
+    The rows u_hat, d1*u_hat and d2*u_hat of one (3, n//2+1) array go
+    through a single irfft call, bitwise the same as three calls
+    without their per-call overhead, and one rfft call brings the flux
+    back.  The flux is built from products only: u ** 3 calls the C
+    library's pow on every element, which costs as much as the rest of
+    a stage.
     """
     spec = np.empty((3, u_hat.size), dtype=complex)
     spec[0] = u_hat
@@ -247,21 +240,18 @@ def flux_divergence(u: np.ndarray, cfg: SimConfig,
     """
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite input state")
-    d1 = _operators(grid, cfg.scheme)[0]
-    return np.fft.irfft(d1 * _flux_hat(np.fft.rfft(u), cfg, grid), grid.n)
-
-
-def _rhs_hat(u_hat: np.ndarray, cfg: SimConfig, grid: Grid) -> np.ndarray:
-    """rfft coefficients of u_t from those of u: the flux's, times the
-    stage symbol d1 / (1 - d2); two transform calls in all."""
-    return _operators(grid, cfg.scheme)[3] * _flux_hat(u_hat, cfg, grid)
+    d1, d2 = _operators(grid, cfg.scheme)[:2]
+    return np.fft.irfft(
+        d1 * _flux_hat(np.fft.rfft(u), d1, d2, grid.n, cfg.b), grid.n)
 
 
 def rhs(u: np.ndarray, cfg: SimConfig, grid: Grid) -> np.ndarray:
     """u_t evaluated on u: Helmholtz inverse of the flux divergence."""
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite input state")
-    return np.fft.irfft(_rhs_hat(np.fft.rfft(u), cfg, grid), grid.n)
+    d1, d2, _helmholtz, stage = _operators(grid, cfg.scheme)
+    return np.fft.irfft(
+        stage * _flux_hat(np.fft.rfft(u), d1, d2, grid.n, cfg.b), grid.n)
 
 
 # ---------------------------------------------------------------------
@@ -280,10 +270,10 @@ def _rk4(u: np.ndarray, dt: float, cfg: SimConfig,
     d1, d2, _helmholtz, stage = _operators(grid, cfg.scheme)
     n, b = grid.n, cfg.b
     u_hat = np.fft.rfft(u)
-    k1 = stage * _flux_hat_of(u_hat, d1, d2, n, b)
-    k2 = stage * _flux_hat_of(u_hat + 0.5 * dt * k1, d1, d2, n, b)
-    k3 = stage * _flux_hat_of(u_hat + 0.5 * dt * k2, d1, d2, n, b)
-    k4 = stage * _flux_hat_of(u_hat + dt * k3, d1, d2, n, b)
+    k1 = stage * _flux_hat(u_hat, d1, d2, n, b)
+    k2 = stage * _flux_hat(u_hat + 0.5 * dt * k1, d1, d2, n, b)
+    k3 = stage * _flux_hat(u_hat + 0.5 * dt * k2, d1, d2, n, b)
+    k4 = stage * _flux_hat(u_hat + dt * k3, d1, d2, n, b)
     return u + np.fft.irfft((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
                             n)
 
@@ -465,8 +455,7 @@ def run(inst: FamilyInstance, cfg: SimConfig, grid: Grid) -> SimReport:
         exact = np.asarray(profile_fn(x + lam * s.t), dtype=float)
         snaps.append(Snapshot(s.t, s.u.copy(), exact))
 
-    if 0 in snap_steps:
-        capture(state)
+    capture(state)  # the snapshot steps start at 0
     for step in range(1, n_steps + 1):
         state = step_rk4(state, cfg, grid)
         tracker.record(state)

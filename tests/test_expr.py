@@ -290,6 +290,15 @@ def test_constants_intern_by_type_and_value():
     assert Const(Fraction(2, 4)) is Const(Fraction(1, 2))
 
 
+def test_numpy_floats_intern_as_plain_floats():
+    # numpy.float64 subclasses float: a node built from one must be the
+    # node of the equal plain float, or equality stops being identity
+    assert Const(np.float64(0.5)) is Const(0.5)
+    assert E.con(np.float64(-0.0)) is Const(0.0)
+    assert type(Const(np.float64(0.5)).value) is float
+    assert type(Const(np.float64(-0.0)).value) is float
+
+
 def test_unreferenced_nodes_leave_the_table():
     gc.collect()
     before = len(E._NODES)
