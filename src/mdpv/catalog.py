@@ -34,8 +34,9 @@ from .expr import (
     sinh, sqrt, substitute_map, sym, tan, tanh,
 )
 from .residual import (
-    ResidualReport, classic_eq, distinct_points, find_zeros, modified_eq,
-    ode_residual, require_valid_b, scan, traveling_profile,
+    SCAN_N, SCAN_TOL, SCAN_WINDOW, ResidualReport, classic_eq,
+    distinct_points, find_zeros, modified_eq, ode_residual,
+    require_valid_b, scan, traveling_profile,
 )
 
 __all__ = [
@@ -484,8 +485,8 @@ def _family_residual(fid: str, variant: str) -> Expr:
 
 
 def verify_family(fid: str, b: float, params: Mapping[str, float],
-                  window: tuple[float, float] = (-8.0, 8.0),
-                  n: int = 257, tol: float = 1e-9,
+                  window: tuple[float, float] = SCAN_WINDOW,
+                  n: int = SCAN_N, tol: float = SCAN_TOL,
                   variant: str = "mdp") -> ResidualReport:
     """Scan the traveling-reduction residual of one family member.
 

@@ -18,11 +18,12 @@ carry 17 significant digits; a non-finite measured residual or scale
 is written as null.  CSV files use shortest round-trip floats.
 
 Exit codes: 0 all requested checks passed; 1 usage error (a NaN or
-infinite number, a ``--draws`` or ``--n`` below 1 or past its budget,
-a grid past ``mdpv.sim.MAX_N`` points, or a run past the step budget,
-among them) or a stdout closed by its reader before the
-output was written; 2 validity violation (excluded b, inadmissible
-or singular parameters, unstable step); 3 a scan, system check or
+infinite number, a negative seed, a ``--draws`` or ``--n`` below 1 or
+past its budget, a grid past ``mdpv.sim.MAX_N`` points, or a run past
+the step budget, among them) or a stdout closed by its reader before
+the output was written; 2 validity violation (excluded b,
+inadmissible or singular parameters, a parameter map with no float
+value, unstable step); 3 a scan, system check or
 corrected kernel branch failed; 4 numerical blow-up.
 The seed defaults to 42; the environment variable MDPV_SEED overrides
 the default and ``--seed`` overrides both.
@@ -46,8 +47,8 @@ from .catalog import (
     family_ids, is_valid, method_tag, verify_family,
 )
 from .expr import ExprError, evaluate, free_symbols, parse
-from .residual import ResidualReport, classic_eq, modified_eq, \
-    ode_residual, require_valid_b, scan
+from .residual import SCAN_N, SCAN_TOL, SCAN_WINDOW, ResidualReport, \
+    classic_eq, modified_eq, ode_residual, require_valid_b, scan
 from .riccati import audit_printed_forms
 from .sim import BlowUpError, Grid, InadmissibleFamilyError, SimConfig, \
     run, write_snapshots_csv
@@ -68,15 +69,13 @@ SEED_ENV_VAR = "MDPV_SEED"
 
 METHOD_CHOICES = tuple(dict.fromkeys(ROUTES.values()))
 
-# defaults of the single checks; `audit` runs every check at these
-SCAN_WINDOW = "-8,8"
-SCAN_N = 257
-SCAN_TOL = 1e-9
+# defaults of the single checks, with the scan defaults of
+# mdpv.residual; `audit` runs every check at these
 SYSTEM_TOL = 1e-10
 B_LIST = "0,0.5,1,3"
 DRAWS = 3
 # budgets of the count flags: the largest legitimate values are the
-# defaults above (--n 257, --draws 3); `verify --family all --n
+# defaults (--n 257, --draws 3); `verify --family all --n
 # 100000` takes 3 s on a 2-vCPU machine
 MAX_SCAN_N = 100_000
 MAX_DRAWS = 100
@@ -188,16 +187,22 @@ def _json_outputs(args) -> list[str]:
 # flag parsing helpers
 
 def _resolve_seed(flag_value: int | None) -> int:
+    """The flag's seed, else MDPV_SEED's, else the default; numpy seeds
+    only from a non-negative integer."""
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None and env.strip():
+        seed, source = flag_value, "--seed"
+    else:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None or not env.strip():
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed, source = int(env), SEED_ENV_VAR
         except ValueError:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer,"
                              f" got {env!r}") from None
-    return DEFAULT_SEED
+    if seed < 0:
+        raise UsageError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _finite_float(text: str) -> float:
@@ -510,7 +515,14 @@ def _system_rows(fid: str, system, b_values: list[float],
                                                        rng, draws)):
             aux = {"alpha": float(rng.uniform(0.5, 2.0))} \
                 if fid == "u11" else None
-            env = family_system_env(fid, b, params, aux)
+            try:
+                env = family_system_env(fid, b, params, aux)
+            except (ValueError, OverflowError) as exc:
+                # a negative radicand past is_valid's margin, or a power
+                # past float range: the map has no float value here
+                raise ValidityError(f"{fid} parameters at b = {b:g} have"
+                                    f" no float system values: {exc}"
+                                    ) from None
             for key, delta in perturb.items():
                 if key not in env:
                     raise UsageError(f"--perturb {key}: system unknowns"
@@ -523,8 +535,8 @@ def _system_rows(fid: str, system, b_values: list[float],
                 "b": b,
                 "params": params,
                 "perturb": dict(perturb),
-                "max_abs": max_abs,
-                "scale": scale,
+                "max_abs": _measured(max_abs),
+                "scale": _measured(scale),
                 "passed": passed,
             }, (f"  b={b:g} set {i}: max|eq| = {max_abs:.3e}"
                 f"  scale = {scale:.3e}  {'pass' if passed else 'FAIL'}")
@@ -583,15 +595,14 @@ def cmd_system_verify(args) -> int:
 def cmd_audit(args) -> int:
     seed = _resolve_seed(args.seed)
     b_values = _parse_b_list(args.b)
-    window = _parse_window(SCAN_WINDOW)
     scans, systems, failures = [], [], 0
     for fid in family_ids():
         # the scans draw a fresh stream per (family, b), as `verify --b B`
         # does; the system checks one stream across the b list, as
         # `system-verify --b LIST` does
         rows = [pair for b in b_values for pair in _scan_rows(
-            fid, b, {}, _family_rng(seed, fid), args.draws, window, SCAN_N,
-            SCAN_TOL, "mdp")]
+            fid, b, {}, _family_rng(seed, fid), args.draws, SCAN_WINDOW,
+            SCAN_N, SCAN_TOL, "mdp")]
         checks = list(_system_rows(fid, system_for_family(fid), b_values,
                                    {}, {}, _family_rng(seed, fid),
                                    args.draws, SYSTEM_TOL))
@@ -615,7 +626,7 @@ def cmd_audit(args) -> int:
             "b": b_values,
             "draws": args.draws,
             "variant": "mdp",
-            "window": list(window),
+            "window": list(SCAN_WINDOW),
             "n": SCAN_N,
             "scan_tol": SCAN_TOL,
             "system_tol": SYSTEM_TOL,
@@ -727,7 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit profile U(xi) instead of a family")
     p.add_argument("--speed", type=_finite_float, default=0.0,
                    help="wave speed for --expr (default 0)")
-    p.add_argument("--window", default=SCAN_WINDOW, metavar="A,B")
+    p.add_argument("--window", default="{:g},{:g}".format(*SCAN_WINDOW),
+                   metavar="A,B")
     p.add_argument("--n", type=_count(MAX_SCAN_N), default=SCAN_N)
     p.add_argument("--tol", type=_finite_float, default=SCAN_TOL)
     p.add_argument("--draws", type=_count(MAX_DRAWS), default=1,

@@ -36,7 +36,12 @@ __all__ = [
     "ResidualReport", "scan", "find_zeros", "distinct_points",
 ]
 
-# a scan skips grid points this close to a declared exclusion
+# a scan's defaults: SCAN_N uniform points of SCAN_WINDOW, judged at
+# relative tolerance SCAN_TOL; it skips grid points within
+# EXCLUSION_RADIUS of a declared exclusion
+SCAN_WINDOW = (-8.0, 8.0)
+SCAN_N = 257
+SCAN_TOL = 1e-9
 EXCLUSION_RADIUS = 0.1
 
 # find_zeros samples its window at this many points and bisects each
@@ -131,9 +136,9 @@ class ResidualReport:
 
 
 def scan(residual: Expr, env: Mapping[str, float],
-         window: tuple[float, float] = (-8.0, 8.0), n: int = 257,
+         window: tuple[float, float] = SCAN_WINDOW, n: int = SCAN_N,
          exclusions: Sequence[float] = (),
-         tol: float = 1e-9) -> ResidualReport:
+         tol: float = SCAN_TOL) -> ResidualReport:
     """Evaluate a residual on a uniform grid and judge it against the
     cancellation scale.
 

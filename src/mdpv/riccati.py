@@ -6,15 +6,20 @@ classified over real constant coefficients, plus a numeric audit that
 separates branches whose published closed forms actually solve the ODE
 from those that need a sign or radical repair.
 
-Every branch this module *returns* is a verified solution; the
-`as_printed` flag records whether that verified form coincides with the
-widely circulated table entry.  `audit_printed_forms` measures both the
-circulated and repaired forms against the ODE so the discrepancies are
+The circulated table is transcribed once, in `printed_solution`.
+Every branch `solution` returns is a verified solution: the table entry
+itself, simplified, except in case 1 (rewritten so that its denominator
+does not cancel) and in the four cases the table gets wrong or leaves
+out, which `solution` writes out repaired; the `as_printed` flag
+records which.  One compiled check measures a branch, so
+`audit_printed_forms` measures the circulated and repaired forms of
+each row the same way, at the same points, and the discrepancies are
 data, not opinion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -22,8 +27,8 @@ from typing import Union
 import numpy as np
 
 from .expr import (
-    Call, Const, EvalError, Expr, compile_fn, con, cos, diff, evaluate,
-    exp, postorder, simplify, sinh, sqrt, sym, tan, tanh,
+    Expr, compile_fn, con, cos, diff, exp, simplify, sinh, sqrt, sym, tan,
+    tanh,
 )
 from .residual import ResidualReport, find_zeros
 
@@ -116,7 +121,9 @@ def _root_pos(v) -> Expr:
 
 def solution(alpha: Coeff, beta: Coeff = None, gamma: Coeff = None,
              ) -> RiccatiBranch:
-    """Verified closed-form branch for the coefficient triple."""
+    """Verified closed-form branch for the coefficient triple: the
+    circulated table entry, simplified, except in case 1 and in the
+    four cases the table gets wrong or leaves out."""
     if isinstance(alpha, RiccatiSpec):
         spec = alpha
     else:
@@ -135,49 +142,30 @@ def solution(alpha: Coeff, beta: Coeff = None, gamma: Coeff = None,
         denom = (b - g) - 2 * b * exp(-b * xi / 2) * sinh(b * xi / 2)
         phi = b / denom
         poles = (denom,)
-    elif case == "2":
-        phi = -1 / (g * xi)
-        poles = (xi,)
-    elif case == "3":
-        if bv == 0:
-            # the circulated table skips this corner entirely
-            phi = a * xi
-            as_printed = False
-        else:
-            phi = (-a + b * exp(b * xi)) / b
-    elif case == "4a":
-        s = _root_pos(av * gv)
-        phi = (s / g) * tan(s * xi)
-        poles = (cos(s * xi),)
+    elif case == "3" and bv == 0:
+        # the circulated table skips this corner entirely
+        phi, as_printed = a * xi, False
     elif case == "4b":
         # repaired: the circulated entry carries a complex radical here
         s = _root_pos(-av * gv)
-        phi = (s / (-g)) * tanh(s * xi)
-        as_printed = False
-    elif case == "4c":
-        s = _root_pos(-av * gv)
-        phi = (s / g) * tanh(-s * xi)
+        phi, as_printed = (s / (-g)) * tanh(s * xi), False
     elif case == "4d":
         # repaired: the circulated entry negates the tan argument
         s = _root_pos(av * gv)
-        phi = (s / g) * tan(s * xi)
-        as_printed = False
-        poles = (cos(s * xi),)
-    elif case == "5":
-        phi = -2 * a * (b * xi + 2) / (b * b * xi)
-        poles = (xi,)
-    elif case == "6":
-        d = spec.discriminant
-        s = _root_pos(-d)
-        phi = (s * tan(s * xi / 2) - b) / (2 * g)
-        poles = (cos(s * xi / 2),)
-    else:  # "7"
+        phi, as_printed = (s / g) * tan(s * xi), False
+    elif case == "7":
         # repaired: the circulated entry flips the sign of the tanh term
-        d = spec.discriminant
-        s = _root_pos(d)
-        phi = -(b + s * tanh(s * xi / 2)) / (2 * g)
-        as_printed = False
+        s = _root_pos(spec.discriminant)
+        phi, as_printed = -(b + s * tanh(s * xi / 2)) / (2 * g), False
+    else:
+        phi = printed_solution(spec)
 
+    if case in ("2", "5"):
+        poles = (xi,)
+    elif case in ("4a", "4d"):
+        poles = (cos(_root_pos(av * gv) * xi),)
+    elif case == "6":
+        poles = (cos(_root_pos(-spec.discriminant) * xi / 2),)
     return RiccatiBranch(case, spec, simplify(phi), as_printed, poles)
 
 
@@ -222,15 +210,6 @@ def ode_residual_of(phi: Expr, spec: RiccatiSpec) -> Expr:
     return diff(phi, "xi") - (a + b * phi + g * phi * phi)
 
 
-def _has_negative_radicand(e: Expr) -> bool:
-    for t in postorder(e):
-        if isinstance(t, Call) and t.fn == "sqrt":
-            arg = simplify(t.arg)
-            if isinstance(arg, Const) and arg.value < 0:
-                return True
-    return False
-
-
 def _admissible_points(branch_poles, n, seed) -> np.ndarray:
     poles: list[float] = []
     for d in branch_poles:
@@ -248,22 +227,29 @@ def _admissible_points(branch_poles, n, seed) -> np.ndarray:
     return np.array(pts)
 
 
+def _measure(phi: Expr, spec: RiccatiSpec, pts: np.ndarray,
+             tol: float) -> ResidualReport:
+    """Compiled check of phi' - (alpha + beta*phi + gamma*phi^2) at
+    pts, scaled by max |phi'|.  A non-finite value anywhere (a pole, or
+    a radical with no real value) fails with an infinite residual."""
+    rfun = compile_fn(ode_residual_of(phi, spec), ["xi"])
+    dfun = compile_fn(diff(phi, "xi"), ["xi"])
+    rv = np.broadcast_to(np.asarray(rfun(pts), dtype=float), pts.shape)
+    dv = np.broadcast_to(np.asarray(dfun(pts), dtype=float), pts.shape)
+    if not (np.all(np.isfinite(rv)) and np.all(np.isfinite(dv))):
+        return ResidualReport(float("inf"), pts.size, 0, tol, 0.0, False)
+    scale = float(np.max(np.abs(dv)))
+    max_abs = float(np.max(np.abs(rv)))
+    return ResidualReport(max_abs, pts.size, 0, tol, scale,
+                          max_abs <= tol * (1.0 + scale))
+
+
 def verify_branch(branch: RiccatiBranch, n: int = 40, seed: int = 0,
                   tol: float = 1e-9) -> ResidualReport:
     """Check phi' - (alpha + beta*phi + gamma*phi^2) at n seeded points
     of WINDOW away from the branch's poles, scaled by max |phi'|."""
-    resid = ode_residual_of(branch.phi, branch.spec)
     pts = _admissible_points(branch.pole_denoms, n, seed)
-    rfun = compile_fn(resid, ["xi"])
-    dfun = compile_fn(diff(branch.phi, "xi"), ["xi"])
-    rv = np.broadcast_to(np.asarray(rfun(pts), dtype=float), pts.shape)
-    dv = np.broadcast_to(np.asarray(dfun(pts), dtype=float), pts.shape)
-    if not (np.all(np.isfinite(rv)) and np.all(np.isfinite(dv))):
-        return ResidualReport(float("inf"), n, 0, tol, 0.0, False)
-    scale = float(np.max(np.abs(dv)))
-    max_abs = float(np.max(np.abs(rv)))
-    return ResidualReport(max_abs, n, 0, tol, scale,
-                          max_abs <= tol * (1.0 + scale))
+    return _measure(branch.phi, branch.spec, pts, tol)
 
 
 # representative triples, one per case label
@@ -283,45 +269,27 @@ AUDIT_SPECS: dict[str, RiccatiSpec] = {
 
 def audit_printed_forms(tol: float = 1e-9) -> list[dict]:
     """Measure every circulated table entry against the ODE it claims
-    to solve, next to the repaired branch: both at the same
-    AUDIT_POINTS points, drawn with AUDIT_SEED.
+    to solve, next to the repaired branch: one check of both, at the
+    same AUDIT_POINTS points drawn once per row with AUDIT_SEED.
 
-    max_residual_printed is None when the entry cannot be evaluated
-    over the reals (negative radicand) or where no entry exists.
+    max_residual_printed is None where the entry has no finite real
+    value at some point (a negative radicand) or no entry exists.
     """
     rows = []
     for case, spec in AUDIT_SPECS.items():
         branch = solution(spec)
-        rep = verify_branch(branch, n=AUDIT_POINTS, seed=AUDIT_SEED,
-                            tol=tol)
+        pts = _admissible_points(branch.pole_denoms, AUDIT_POINTS,
+                                 AUDIT_SEED)
+        rep = _measure(branch.phi, spec, pts, tol)
         printed = printed_solution(spec)
-        printed_passes = False
-        max_printed = None
-        if printed is not None and not _has_negative_radicand(printed):
-            pts = _admissible_points(branch.pole_denoms, AUDIT_POINTS,
-                                     AUDIT_SEED)
-            resid = ode_residual_of(printed, spec)
-            dprinted = diff(printed, "xi")
-            vals = []
-            dvals = []
-            ok = True
-            for x in pts:
-                try:
-                    vals.append(evaluate(resid, {"xi": float(x)}))
-                    dvals.append(evaluate(dprinted, {"xi": float(x)}))
-                except EvalError:
-                    ok = False
-                    break
-            if ok and vals and np.all(np.isfinite(vals)) and \
-                    np.all(np.isfinite(dvals)):
-                max_printed = float(np.max(np.abs(vals)))
-                scale = float(np.max(np.abs(dvals)))
-                printed_passes = max_printed <= tol * (1.0 + scale)
+        prep = None if printed is None else _measure(printed, spec, pts,
+                                                     tol)
+        real = prep is not None and math.isfinite(prep.max_abs_residual)
         rows.append({
             "case": case,
             "spec": tuple(float(v) for v in spec.triple()),
-            "printed_passes": printed_passes,
-            "max_residual_printed": max_printed,
+            "printed_passes": real and prep.passed,
+            "max_residual_printed": prep.max_abs_residual if real else None,
             "max_residual_corrected": rep.max_abs_residual,
             "corrected_passes": rep.passed,
             "matches_printed": branch.as_printed,

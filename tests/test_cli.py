@@ -113,6 +113,8 @@ def test_render_json_rejects_nonfinite():
     ["system-verify", "--method", "colehopf", "--family", "u1",
      "--draws", str(MAX_DRAWS + 1), "--json"],
     ["audit", "--b", "3", "--draws", str(MAX_DRAWS + 1), "--json"],
+    # numpy seeds only from a non-negative integer
+    ["verify", "--family", "u1", "--b", "3", "--seed", "-1"],
 ])
 def test_usage_errors(capsys, argv):
     rc, _out, err = run_cli(capsys, argv)
@@ -121,11 +123,13 @@ def test_usage_errors(capsys, argv):
 
 
 def test_bad_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    rc, _out, err = run_cli(capsys, ["verify", "--family", "u3",
-                                     "--b", "3"])
-    assert rc == EXIT_USAGE
-    assert SEED_ENV_VAR in err
+    # numpy seeds only from a non-negative integer
+    for value in ("not-a-number", "-5"):
+        monkeypatch.setenv(SEED_ENV_VAR, value)
+        rc, _out, err = run_cli(capsys, ["verify", "--family", "u3",
+                                         "--b", "3"])
+        assert rc == EXIT_USAGE, value
+        assert SEED_ENV_VAR in err and len(err.splitlines()) == 1, value
 
 
 def test_deeply_nested_expr_is_a_usage_error(capsys):
@@ -257,6 +261,16 @@ def test_perturbed_system_exits_3(capsys):
     (["audit", "--b", "3", "--draws", "0"], EXIT_USAGE),
     # an exact constant past float range evaluates to inf, like a pole
     (["verify", "--expr", "1" + "0" * 400 + "*xi", "--b", "3"], EXIT_FAIL),
+    # a system check past float range is reported as null, not rendered
+    (["system-verify", "--method", "tanhcoth", "--family", "u20",
+      "--perturb", "a0=1e308"], EXIT_FAIL),
+    # parameter maps with no float value: a radicand just below zero
+    # within is_valid's margin, and (b + 1)**2 past float range
+    (["system-verify", "--method", "hyperbolic", "--family", "u7", "--b",
+      "0", "--param", "a2=0.99999999999999"], EXIT_INVALID),
+    (["system-verify", "--method", "hyperbolic", "--family", "u7", "--b",
+      "1e200"], EXIT_INVALID),
+    (["audit", "--b", "1e200", "--draws", "1"], EXIT_INVALID),
 ])
 def test_every_exit_code_with_json(capsys, argv, code):
     rc, out, err = run_cli(capsys, argv + ["--json"])

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdpv.expr import evaluate, parse, pointwise_equal, sym
+from mdpv import riccati
+from mdpv.expr import evaluate, parse, pointwise_equal, simplify, sym
 from mdpv.riccati import (
     AUDIT_SPECS, RiccatiSpec, audit_printed_forms, classify,
     ode_residual_of, printed_solution, solution, verify_branch,
@@ -126,6 +127,10 @@ def test_full_rational_grid_classifies_and_verifies():
         seen.add(br.case_id)
         rep = verify_branch(br, n=12, seed=11)
         assert rep.passed, (t, br.case_id, rep.max_abs_residual)
+        # the table is transcribed once: an as-printed branch is the
+        # circulated entry itself, except case 1's rewritten denominator
+        if br.as_printed and br.case_id != "1":
+            assert br.phi is simplify(printed_solution(br.spec)), t
     assert seen == {"1", "2", "3", "4a", "4b", "4c", "4d", "5", "6", "7"}
 
 
@@ -177,6 +182,24 @@ def test_audit_pattern():
     assert rows["7"]["max_residual_printed"] > 0.1
     for case in good:
         assert rows[case]["max_residual_printed"] <= 1e-9 * 100
+    # one measurement: where the branch is the printed entry, both forms
+    # read the same residual
+    for case in ("2", "3", "4a", "4c", "5", "6"):
+        r = rows[case]
+        assert r["max_residual_printed"] == r["max_residual_corrected"], case
+
+
+def test_audit_draws_each_rows_points_once(monkeypatch):
+    calls = []
+    real = riccati._admissible_points
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(riccati, "_admissible_points", counted)
+    audit_printed_forms()
+    assert len(calls) == len(AUDIT_SPECS) == 10
 
 
 def test_printed_and_corrected_differ_exactly_where_flagged():
