@@ -5,7 +5,9 @@ Each family is a profile U(xi) on the moving coordinate xi = x + lam*t,
 with its speed lam, parameter list, admissibility constraints, and the
 denominators whose zeros are profile poles.  Profiles and speeds are
 symbolic in b and the parameters, so one cached residual per family
-serves every numeric scan.
+serves every numeric scan.  A family is built (its forms simplified)
+on the first lookup of its id, so a command pays only for the families
+it uses.
 
 Families come in structural groups that mirror how they were derived:
 
@@ -24,8 +26,9 @@ negative-control tests.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -77,14 +80,28 @@ def _check(label: str, e: Expr, kind: str):
 
 
 # ---------------------------------------------------------------------
-# group builders
+# group builders: each returns the Family of one id
+
+def _fam(fid, desc, params, profile, speed, constraints, denoms, draw):
+    return Family(fid, desc, tuple(params), simplify(profile),
+                  simplify(speed), tuple(constraints),
+                  tuple(simplify(d) for d in denoms), draw)
+
+
+def _sign_word(sign: int) -> str:
+    return "minus" if sign < 0 else "plus"
+
+
+def _no_params(rng, b):
+    return {}
+
 
 def _r_quartic(p: Expr) -> Expr:
     # 1 - b(b+2)(p^4 - 1): under the radical in several speed formulas
     return 1 - B * (B + 2) * (p ** 4 - 1)
 
 
-def _bell_family(sign: int):
+def _bell(fid: str, sign: int) -> Family:
     # U = head - 3(b+2)mu^2 / ((b+1)(1+cosh(mu xi)))
     sr = sqrt(_r_quartic(MU))
     lam = -(B + 1 + sign * sr) / 2
@@ -93,32 +110,54 @@ def _bell_family(sign: int):
     else:
         head = (B * MU ** 2 + 2 * MU ** 2 - 1 - B - sr) / (2 * (B + 1))
     U = head - 3 * (B + 2) * MU ** 2 / ((B + 1) * (1 + cosh(MU * XI)))
-    return U, lam
+    speed = "slow" if sign < 0 else "fast"
+    return _fam(
+        fid, f"bell profile over 1+cosh(mu*xi), {speed}-speed branch",
+        ("mu",), U, lam,
+        [_check("mu != 0", MU, NONZERO),
+         _check("1 - b(b+2)(mu^4-1) >= 0", _r_quartic(MU), NONNEG)],
+        (), _bell_draw)
 
 
 def _bell_draw(rng, b):
     return {"mu": float(rng.uniform(0.4, 1.0))}
 
 
-def _cosh_ratio(numer_sign: int, denom_sign: int):
+def _over_cosh(fid: str, name: str, U: Expr, lam: Expr,
+               denom_sign: int) -> Family:
+    # u3-u6 are quotients over (b+1)(1 +- cosh): smooth with +, a pole
+    # at the origin with -
+    if denom_sign > 0:
+        return _fam(fid, f"{name} over 1+cosh, smooth", (), U, lam, [], (),
+                    _no_params)
+    return _fam(fid, f"{name} over 1-cosh, pole at origin", (), U, lam, [],
+                (1 - cosh(XI),), _no_params)
+
+
+def _cosh_ratio(fid: str, numer_sign: int, denom_sign: int) -> Family:
     # u3/u4: (-(3b+5) +- cosh)/((b+1)(1 +- cosh))
     U = (-(3 * B + 5) - numer_sign * cosh(XI)) / \
         ((B + 1) * (1 + denom_sign * cosh(XI)))
-    return U, -B / 2
+    return _over_cosh(fid, "cosh ratio", U, -B / 2, denom_sign)
 
 
-def _pure_bell(denom_sign: int):
+def _pure_bell(fid: str, denom_sign: int) -> Family:
     # u5/u6: -3(b+2)/((b+1)(1 +- cosh))
     U = -3 * (B + 2) / ((B + 1) * (1 + denom_sign * cosh(XI)))
-    return U, -B / 2 - 1
+    return _over_cosh(fid, "pure bell", U, -B / 2 - 1, denom_sign)
 
 
-def _mixed_hyperbolic(sign: int):
+def _mixed_hyperbolic(fid: str, sign: int) -> Family:
     # u7/u8: numerator and denominator share the sinh/cosh combination
     q = sqrt((B + 1) ** 2 * A2 ** 2 - 1)
     combo = sign * q * sinh(XI) + (B + 1) * A2 * cosh(XI)
     U = (-(3 * B + 5) + combo) / ((B + 1) * (1 + combo))
-    return U, -B / 2, (1 + combo,)
+    return _fam(
+        fid, f"shared sinh/cosh ratio, {_sign_word(sign)}-root pairing",
+        ("a2",), U, -B / 2,
+        [_check("(b+1)^2 a2^2 - 1 >= 0", (B + 1) ** 2 * A2 ** 2 - 1,
+                NONNEG)],
+        (1 + combo,), _mixed_draw)
 
 
 def _mixed_draw(rng, b):
@@ -126,12 +165,19 @@ def _mixed_draw(rng, b):
     return {"a2": m / (b + 1.0)}
 
 
-def _pole_hyperbolic(sign: int):
+def _pole_hyperbolic(fid: str, sign: int) -> Family:
     # u9/u10: -3(b+2) over a unit-discriminant sinh/cosh denominator
     c1 = sqrt(C2 ** 2 - 1)
     D = 1 + sign * c1 * sinh(XI) + C2 * cosh(XI)
     U = -3 * (B + 2) / ((B + 1) * D)
-    return U, -B / 2 - 1, (D,)
+    desc = f"bell over unit-discriminant sinh/cosh, {_sign_word(sign)}" \
+        " pairing"
+    if sign < 0:
+        desc += " (rebuilt from its parameter set; circulated rendering" \
+            " is wrong)"
+    return _fam(fid, desc, ("c2",), U, -B / 2 - 1,
+                [_check("c2^2 - 1 >= 0", C2 ** 2 - 1, NONNEG)],
+                (D,), _pole_draw)
 
 
 def _pole_draw(rng, b):
@@ -139,13 +185,22 @@ def _pole_draw(rng, b):
             float(rng.choice([-1.0, 1.0]))}
 
 
-def _rational_quadratic():
+def _rational_quadratic(fid: str) -> Family:
     # u11: lone rational branch, double pole at xi = -2/beta
     U = 6 * (B + 2) * BE ** 2 / ((B + 1) * (BE * XI + 2) ** 2) - 1
-    return U, -B - 1, (BE * XI + 2,)
+    return _fam(
+        fid, "rational double-pole branch (degenerate discriminant)",
+        ("beta",), U, -B - 1,
+        [_check("beta != 0", BE, NONZERO)],
+        (BE * XI + 2,), _rational_draw)
 
 
-def _exp_pole(sign: int):
+def _rational_draw(rng, b):
+    return {"beta": float(rng.uniform(0.3, 1.5)) *
+            float(rng.choice([-1.0, 1.0]))}
+
+
+def _exp_pole(fid: str, sign: int) -> Family:
     # u12/u13: simple-plus-double exponential pole
     sr = sqrt(_r_quartic(BE))
     lam = (-B + sign * sr - 1) / 2
@@ -153,7 +208,14 @@ def _exp_pole(sign: int):
     D = BE * exp(-BE * XI) - GA
     U = head + (6 * (B + 2) * GA * BE ** 2 / (B + 1)) * \
         (1 / D + GA / D ** 2)
-    return U, lam, (D,)
+    return _fam(
+        fid, "exponential simple+double pole, "
+        f"{_sign_word(sign)}-root speed",
+        ("beta", "gamma"), U, lam,
+        [_check("beta != 0", BE, NONZERO),
+         _check("gamma != 0", GA, NONZERO),
+         _check("1 - b(b+2)(beta^4-1) >= 0", _r_quartic(BE), NONNEG)],
+        (D,), _exp_pole_draw)
 
 
 def _exp_pole_draw(rng, b):
@@ -165,14 +227,21 @@ def _exp_pole_draw(rng, b):
     }
 
 
-def _csc_branch(sign: int):
+def _csc_branch(fid: str, sign: int) -> Family:
     # u14/u15
     root = sqrt(B * (B + 2) * (1 - 256 * AL ** 2 * GA ** 2) + 1)
     s = sqrt(AL * GA)
     lam = (-B + sign * root - 1) / 2
     U = (-(B + 1) - 16 * AL * GA * (B + 2) + sign * root
          + 48 * AL * GA * (B + 2) * csc(2 * s * XI) ** 2) / (2 * (B + 1))
-    return U, lam, (sin(2 * s * XI),)
+    return _fam(
+        fid, "csc^2 lattice of singular waves, "
+        f"{_sign_word(sign)}-root speed",
+        ("alpha", "gamma"), U, lam,
+        [_check("alpha*gamma > 0", AL * GA, POSITIVE),
+         _check("b(b+2)(1-256 a^2 g^2) + 1 >= 0",
+                B * (B + 2) * (1 - 256 * AL ** 2 * GA ** 2) + 1, NONNEG)],
+        (sin(2 * s * XI),), _csc_draw)
 
 
 def _csc_draw(rng, b):
@@ -181,7 +250,7 @@ def _csc_draw(rng, b):
     return {"alpha": a, "gamma": p / a}
 
 
-def _trig_sq_branch(kind: str, sign: int):
+def _trig_sq_branch(fid: str, kind: str, sign: int) -> Family:
     # u16-u19: cot^2 or tan^2 over the shared constant block
     root = sqrt(B * (B + 2) * (1 - 16 * AL ** 2 * GA ** 2) + 1)
     s = sqrt(AL * GA)
@@ -190,7 +259,13 @@ def _trig_sq_branch(kind: str, sign: int):
     U = (-(B + 1) + 8 * AL * GA * (B + 2) + sign * root
          + 12 * AL * GA * (B + 2) * osc ** 2) / (2 * (B + 1))
     denom = sin(s * XI) if kind == "cot" else cos(s * XI)
-    return U, lam, (denom,)
+    return _fam(
+        fid, f"{kind}^2 periodic branch, {_sign_word(sign)}-root speed",
+        ("alpha", "gamma"), U, lam,
+        [_check("alpha*gamma > 0", AL * GA, POSITIVE),
+         _check("b(b+2)(1-16 a^2 g^2) + 1 >= 0",
+                B * (B + 2) * (1 - 16 * AL ** 2 * GA ** 2) + 1, NONNEG)],
+        (denom,), _trig_draw)
 
 
 def _trig_draw(rng, b):
@@ -203,14 +278,23 @@ _DELTA = BE ** 2 - 4 * AL * GA
 _R_DELTA = 1 - B * (B + 2) * (_DELTA ** 2 - 1)
 
 
-def _tanh_sq(sign: int):
+def _tanh_constraints() -> list:
+    # u20-u23: a real tanh argument and a real speed root
+    return [_check("beta^2 - 4 alpha gamma > 0", _DELTA, POSITIVE),
+            _check("1 - b(b+2)(D^2-1) >= 0", _R_DELTA, NONNEG)]
+
+
+def _tanh_sq(fid: str, sign: int) -> Family:
     # u20/u21: flat background plus tanh^2 bump
     root = sqrt(_R_DELTA)
     lam = (-B + sign * root - 1) / 2
     U = -(2 * _DELTA * (B + 2) + B + 1 - sign * root) / (2 * (B + 1)) \
         + (3 * (B + 2) * _DELTA / (2 * (B + 1))) * \
         tanh(sqrt(_DELTA) * XI / 2) ** 2
-    return U, lam
+    return _fam(
+        fid, f"tanh^2 kink-squared profile, {_sign_word(sign)}-root speed",
+        ("alpha", "beta", "gamma"), U, lam, _tanh_constraints(), (),
+        _tanh_draw)
 
 
 def tanh_composite_profile(sign: int, tanh_sign: int = 1,
@@ -232,6 +316,16 @@ def tanh_composite_profile(sign: int, tanh_sign: int = 1,
     inv2 = 24 * (B + 2) * AL ** 2 * GA ** 2 / ((B + 1) * denom ** 2)
     U = head + inverse_term_sign * inv1 + inv2
     return U, lam, (denom,)
+
+
+def _tanh_composite(fid: str, sign: int) -> Family:
+    U, lam, denoms = tanh_composite_profile(sign)
+    return _fam(
+        fid, "tanh composite with moving pole, "
+        f"{_sign_word(sign)}-root speed",
+        ("alpha", "beta", "gamma"), U, lam,
+        _tanh_constraints() + [_check("alpha*gamma != 0", AL * GA, NONZERO)],
+        denoms, lambda rng, b: _tanh_draw(rng, b, need_ag=True))
 
 
 def _tanh_draw(rng, b, need_ag: bool = False):
@@ -257,153 +351,64 @@ def printed_u10() -> tuple[Expr, Expr]:
 # ---------------------------------------------------------------------
 # registry
 
-def _fam(fid, desc, params, profile, speed, constraints, denoms, draw):
-    return Family(fid, desc, tuple(params), simplify(profile),
-                  simplify(speed), tuple(constraints),
-                  tuple(simplify(d) for d in denoms), draw)
-
-
-def _build_families() -> dict:
-    fams = {}
-
-    U, lam = _bell_family(-1)
-    fams["u1"] = _fam(
-        "u1", "bell profile over 1+cosh(mu*xi), slow-speed branch",
-        ("mu",), U, lam,
-        [_check("mu != 0", MU, NONZERO),
-         _check("1 - b(b+2)(mu^4-1) >= 0", _r_quartic(MU), NONNEG)],
-        (), _bell_draw)
-
-    U, lam = _bell_family(+1)
-    fams["u2"] = _fam(
-        "u2", "bell profile over 1+cosh(mu*xi), fast-speed branch",
-        ("mu",), U, lam,
-        [_check("mu != 0", MU, NONZERO),
-         _check("1 - b(b+2)(mu^4-1) >= 0", _r_quartic(MU), NONNEG)],
-        (), _bell_draw)
-
-    U, lam = _cosh_ratio(-1, +1)
-    fams["u3"] = _fam("u3", "cosh ratio over 1+cosh, smooth", (),
-                      U, lam, [], (), lambda rng, b: {})
-    U, lam = _cosh_ratio(+1, -1)
-    fams["u4"] = _fam("u4", "cosh ratio over 1-cosh, pole at origin", (),
-                      U, lam, [], (1 - cosh(XI),), lambda rng, b: {})
-    U, lam = _pure_bell(-1)
-    fams["u5"] = _fam("u5", "pure bell over 1-cosh, pole at origin", (),
-                      U, lam, [], (1 - cosh(XI),), lambda rng, b: {})
-    U, lam = _pure_bell(+1)
-    fams["u6"] = _fam("u6", "pure bell over 1+cosh, smooth", (),
-                      U, lam, [], (), lambda rng, b: {})
-
-    U, lam, denoms = _mixed_hyperbolic(-1)
-    fams["u7"] = _fam(
-        "u7", "shared sinh/cosh ratio, minus-root pairing", ("a2",),
-        U, lam,
-        [_check("(b+1)^2 a2^2 - 1 >= 0",
-                (B + 1) ** 2 * A2 ** 2 - 1, NONNEG)],
-        denoms, _mixed_draw)
-    U, lam, denoms = _mixed_hyperbolic(+1)
-    fams["u8"] = _fam(
-        "u8", "shared sinh/cosh ratio, plus-root pairing", ("a2",),
-        U, lam,
-        [_check("(b+1)^2 a2^2 - 1 >= 0",
-                (B + 1) ** 2 * A2 ** 2 - 1, NONNEG)],
-        denoms, _mixed_draw)
-
-    U, lam, denoms = _pole_hyperbolic(+1)
-    fams["u9"] = _fam(
-        "u9", "bell over unit-discriminant sinh/cosh, plus pairing",
-        ("c2",), U, lam,
-        [_check("c2^2 - 1 >= 0", C2 ** 2 - 1, NONNEG)],
-        denoms, _pole_draw)
-    U, lam, denoms = _pole_hyperbolic(-1)
-    fams["u10"] = _fam(
-        "u10", "bell over unit-discriminant sinh/cosh, minus pairing "
-        "(rebuilt from its parameter set; circulated rendering is wrong)",
-        ("c2",), U, lam,
-        [_check("c2^2 - 1 >= 0", C2 ** 2 - 1, NONNEG)],
-        denoms, _pole_draw)
-
-    U, lam, denoms = _rational_quadratic()
-    fams["u11"] = _fam(
-        "u11", "rational double-pole branch (degenerate discriminant)",
-        ("beta",), U, lam,
-        [_check("beta != 0", BE, NONZERO)],
-        denoms, lambda rng, b: {"beta": float(rng.uniform(0.3, 1.5)) *
-                                float(rng.choice([-1.0, 1.0]))})
-
-    for fid, sign in (("u12", -1), ("u13", +1)):
-        U, lam, denoms = _exp_pole(sign)
-        fams[fid] = _fam(
-            fid, "exponential simple+double pole, "
-            f"{'minus' if sign < 0 else 'plus'}-root speed",
-            ("beta", "gamma"), U, lam,
-            [_check("beta != 0", BE, NONZERO),
-             _check("gamma != 0", GA, NONZERO),
-             _check("1 - b(b+2)(beta^4-1) >= 0", _r_quartic(BE), NONNEG)],
-            denoms, _exp_pole_draw)
-
-    for fid, sign in (("u14", -1), ("u15", +1)):
-        U, lam, denoms = _csc_branch(sign)
-        fams[fid] = _fam(
-            fid, "csc^2 lattice of singular waves, "
-            f"{'minus' if sign < 0 else 'plus'}-root speed",
-            ("alpha", "gamma"), U, lam,
-            [_check("alpha*gamma > 0", AL * GA, POSITIVE),
-             _check("b(b+2)(1-256 a^2 g^2) + 1 >= 0",
-                    B * (B + 2) * (1 - 256 * AL ** 2 * GA ** 2) + 1,
-                    NONNEG)],
-            denoms, _csc_draw)
-
-    trig_constraints = [
-        _check("alpha*gamma > 0", AL * GA, POSITIVE),
-        _check("b(b+2)(1-16 a^2 g^2) + 1 >= 0",
-               B * (B + 2) * (1 - 16 * AL ** 2 * GA ** 2) + 1, NONNEG)]
-    for fid, kind, sign in (("u16", "cot", -1), ("u17", "tan", -1),
-                            ("u18", "cot", +1), ("u19", "tan", +1)):
-        U, lam, denoms = _trig_sq_branch(kind, sign)
-        fams[fid] = _fam(
-            fid, f"{kind}^2 periodic branch, "
-            f"{'minus' if sign < 0 else 'plus'}-root speed",
-            ("alpha", "gamma"), U, lam, trig_constraints, denoms,
-            _trig_draw)
-
-    tanh_constraints = [
-        _check("beta^2 - 4 alpha gamma > 0", _DELTA, POSITIVE),
-        _check("1 - b(b+2)(D^2-1) >= 0", _R_DELTA, NONNEG)]
-    for fid, sign in (("u20", -1), ("u21", +1)):
-        U, lam = _tanh_sq(sign)
-        fams[fid] = _fam(
-            fid, "tanh^2 kink-squared profile, "
-            f"{'minus' if sign < 0 else 'plus'}-root speed",
-            ("alpha", "beta", "gamma"), U, lam, tanh_constraints, (),
-            lambda rng, b: _tanh_draw(rng, b, need_ag=False))
-
-    comp_constraints = tanh_constraints + [
-        _check("alpha*gamma != 0", AL * GA, NONZERO)]
-    for fid, sign in (("u22", +1), ("u23", -1)):
-        U, lam, denoms = tanh_composite_profile(sign)
-        fams[fid] = _fam(
-            fid, "tanh composite with moving pole, "
-            f"{'plus' if sign > 0 else 'minus'}-root speed",
-            ("alpha", "beta", "gamma"), U, lam, comp_constraints, denoms,
-            lambda rng, b: _tanh_draw(rng, b, need_ag=True))
-
-    return fams
-
-
-FAMILIES: dict[str, Family] = _build_families()
+# family id -> builder of that family, in catalog order; `family` runs
+# each builder once, on the first lookup of its id
+_BUILDERS: dict[str, Callable[[str], Family]] = {
+    "u1": lambda fid: _bell(fid, -1),
+    "u2": lambda fid: _bell(fid, +1),
+    "u3": lambda fid: _cosh_ratio(fid, -1, +1),
+    "u4": lambda fid: _cosh_ratio(fid, +1, -1),
+    "u5": lambda fid: _pure_bell(fid, -1),
+    "u6": lambda fid: _pure_bell(fid, +1),
+    "u7": lambda fid: _mixed_hyperbolic(fid, -1),
+    "u8": lambda fid: _mixed_hyperbolic(fid, +1),
+    "u9": lambda fid: _pole_hyperbolic(fid, +1),
+    "u10": lambda fid: _pole_hyperbolic(fid, -1),
+    "u11": _rational_quadratic,
+    "u12": lambda fid: _exp_pole(fid, -1),
+    "u13": lambda fid: _exp_pole(fid, +1),
+    "u14": lambda fid: _csc_branch(fid, -1),
+    "u15": lambda fid: _csc_branch(fid, +1),
+    "u16": lambda fid: _trig_sq_branch(fid, "cot", -1),
+    "u17": lambda fid: _trig_sq_branch(fid, "tan", -1),
+    "u18": lambda fid: _trig_sq_branch(fid, "cot", +1),
+    "u19": lambda fid: _trig_sq_branch(fid, "tan", +1),
+    "u20": lambda fid: _tanh_sq(fid, -1),
+    "u21": lambda fid: _tanh_sq(fid, +1),
+    "u22": lambda fid: _tanh_composite(fid, +1),
+    "u23": lambda fid: _tanh_composite(fid, -1),
+}
 
 
 def family_ids() -> list[str]:
-    return [f"u{i}" for i in range(1, 24)]
+    return list(_BUILDERS)
 
 
+@functools.cache
 def family(fid: str) -> Family:
+    """The family `fid`, built on its first lookup."""
     try:
-        return FAMILIES[fid]
+        build = _BUILDERS[fid]
     except KeyError:
         raise KeyError(f"unknown family '{fid}'; known: u1..u23") from None
+    return build(fid)
+
+
+class _Registry(Mapping):
+    """Read-only view of every family by id, in catalog order; an item
+    is built when it is first read, not when the view is iterated."""
+
+    def __getitem__(self, fid: str) -> Family:
+        return family(fid)
+
+    def __iter__(self):
+        return iter(_BUILDERS)
+
+    def __len__(self) -> int:
+        return len(_BUILDERS)
+
+
+FAMILIES: Mapping[str, Family] = _Registry()
 
 
 # ---------------------------------------------------------------------
@@ -565,7 +570,7 @@ def catalog_manifest() -> list[dict]:
     """JSON-ready description of every family."""
     out = []
     for fid in family_ids():
-        fam = FAMILIES[fid]
+        fam = family(fid)
         out.append({
             "family_id": fam.family_id,
             "method": method_tag(fid),

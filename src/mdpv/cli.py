@@ -20,11 +20,11 @@ is written as null.  CSV files use shortest round-trip floats.
 Exit codes: 0 all requested checks passed; 1 usage error (a NaN or
 infinite number, a negative seed, a ``--draws`` or ``--n`` below 1 or
 past its budget, a grid past ``mdpv.sim.MAX_N`` points, or a run past
-the step budget, among them) or a stdout closed by its reader before
-the output was written; 2 validity violation (excluded b,
-inadmissible or singular parameters, a parameter map with no float
-value, unstable step); 3 a scan, system check or
-corrected kernel branch failed; 4 numerical blow-up.
+the step budget, among them), an output path that cannot be written,
+or a stdout closed by its reader before the output was written; 2
+validity violation (excluded b, inadmissible or singular parameters, a
+parameter map with no float value, unstable step); 3 a scan, system
+check or corrected kernel branch failed; 4 numerical blow-up.
 The seed defaults to 42; the environment variable MDPV_SEED overrides
 the default and ``--seed`` overrides both.
 """
@@ -41,17 +41,16 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .ansatz import family_system_env, system_for_family
 from .catalog import (
     ROUTES, FamilyInstance, catalog_manifest, draw_params, family,
     family_ids, is_valid, method_tag, verify_family,
 )
-from .expr import ExprError, evaluate, free_symbols, parse
+from .expr import EvalError, ExprError, evaluate, free_symbols, parse
 from .residual import SCAN_N, SCAN_TOL, SCAN_WINDOW, ResidualReport, \
     classic_eq, modified_eq, ode_residual, require_valid_b, scan
-from .riccati import audit_printed_forms
-from .sim import BlowUpError, Grid, InadmissibleFamilyError, SimConfig, \
-    run, write_snapshots_csv
+
+# mdpv.ansatz, mdpv.riccati and mdpv.sim are imported inside the
+# commands that call them, so that no other command loads them
 
 __all__ = [
     "main", "render_json", "UsageError", "ValidityError",
@@ -163,15 +162,22 @@ def _manifest(command: str, seed: int, parameters: dict,
     }
 
 
+def _unwritable(path: str, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit_json(doc: dict, target: str | None) -> None:
     if target is None:
         return
     text = render_json(doc) + "\n"
     if target == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _unwritable(target, exc) from None
 
 
 def _json_outputs(args) -> list[str]:
@@ -372,9 +378,16 @@ def _verify_expression(args, seed: int) -> int:
                       tol=args.tol)
     else:
         # constant profiles collapse the residual to a single number
-        value = abs(evaluate(residual, {"b": args.b}))
-        report = ResidualReport(value, 1, 0, args.tol, value,
-                                value <= args.tol * (1.0 + value))
+        try:
+            value = abs(evaluate(residual, {"b": args.b}))
+        except EvalError:
+            # a domain error (sqrt(-1), log(0)) has no value: an
+            # infinite residual, as a scan reports a non-finite point
+            report = ResidualReport(float("inf"), 1, 0, args.tol, 0.0,
+                                    False)
+        else:
+            report = ResidualReport(value, 1, 0, args.tol, value,
+                                    value <= args.tol * (1.0 + value))
     _print(report.line(f"expr[{args.expr}] b={args.b:g} {args.variant}"))
     doc = {
         "manifest": _manifest("verify", seed, {
@@ -458,6 +471,7 @@ def cmd_verify(args) -> int:
 def _riccati_table() -> list[dict]:
     """Print the printed-vs-corrected kernel branch table; returns its
     report rows."""
+    from .riccati import audit_printed_forms
     rows = audit_printed_forms()
     _print(f"{'case':5} {'(alpha,beta,gamma)':20} {'printed':18}"
            f" {'corrected':18} note")
@@ -510,6 +524,7 @@ def _system_rows(fid: str, system, b_values: list[float],
     """Evaluate the route's system at each parameter set of one family,
     all b values drawn from one `rng`: yields a check row and its text
     line per set."""
+    from .ansatz import family_system_env
     for b in b_values:
         for i, params in enumerate(_resolve_param_sets(fid, b, provided,
                                                        rng, draws)):
@@ -543,6 +558,7 @@ def _system_rows(fid: str, system, b_values: list[float],
 
 
 def cmd_system_verify(args) -> int:
+    from .ansatz import system_for_family
     seed = _resolve_seed(args.seed)
     fid = _known_family(args.family)
     route = method_tag(fid)
@@ -593,6 +609,7 @@ def cmd_system_verify(args) -> int:
 # audit
 
 def cmd_audit(args) -> int:
+    from .ansatz import system_for_family
     seed = _resolve_seed(args.seed)
     b_values = _parse_b_list(args.b)
     scans, systems, failures = [], [], 0
@@ -644,6 +661,8 @@ def cmd_audit(args) -> int:
 # simulate
 
 def cmd_simulate(args) -> int:
+    from .sim import BlowUpError, Grid, InadmissibleFamilyError, \
+        SimConfig, run, write_snapshots_csv
     seed = _resolve_seed(args.seed)
     _valid_b(args.b)
     fid = _known_family(args.family)
@@ -676,7 +695,10 @@ def cmd_simulate(args) -> int:
         shown = f"{value:.6e}" if isinstance(value, float) else value
         _print(f"  {key} = {shown}")
     if args.csv:
-        write_snapshots_csv(report, args.csv)
+        try:
+            write_snapshots_csv(report, args.csv)
+        except OSError as exc:
+            raise _unwritable(args.csv, exc) from None
         _print(f"snapshots -> {args.csv}")
     doc = {
         "manifest": _manifest("simulate", seed, {

@@ -36,6 +36,15 @@ def test_registry_complete_and_well_formed():
             assert free_symbols(d) <= {"xi"} | set(fam.parameters) | {"b"}
 
 
+def test_families_mapping_contract():
+    assert list(FAMILIES) == family_ids() and len(FAMILIES) == 23
+    for fid in family_ids():
+        assert FAMILIES[fid] is family(fid)
+        assert FAMILIES[fid].family_id == fid
+    with pytest.raises(KeyError, match="u1..u23"):
+        FAMILIES["u99"]
+
+
 def test_unknown_family_rejected():
     with pytest.raises(KeyError, match="u1..u23"):
         family("u99")

@@ -271,6 +271,10 @@ def test_perturbed_system_exits_3(capsys):
     (["system-verify", "--method", "hyperbolic", "--family", "u7", "--b",
       "1e200"], EXIT_INVALID),
     (["audit", "--b", "1e200", "--draws", "1"], EXIT_INVALID),
+    # a constant profile outside a function's domain has no residual
+    # value: reported infinite, as a scan reports a non-finite point
+    (["verify", "--expr", "sqrt(-1)", "--b", "3"], EXIT_FAIL),
+    (["verify", "--expr", "log(0)", "--b", "3"], EXIT_FAIL),
 ])
 def test_every_exit_code_with_json(capsys, argv, code):
     rc, out, err = run_cli(capsys, argv + ["--json"])
@@ -279,6 +283,18 @@ def test_every_exit_code_with_json(capsys, argv, code):
         json.loads(out[out.index("{"):])
     else:
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["list"], "--json"),
+    (["simulate", "--family", "u6", "--T", "0.01"], "--csv"),
+])
+def test_unwritable_output_is_one_error_line(capsys, tmp_path, argv, flag):
+    target = tmp_path / "missing" / "out"
+    rc, _out, err = run_cli(capsys, argv + [flag, str(target)])
+    assert rc == EXIT_USAGE
+    assert err.startswith(f"error: cannot write {target}:")
+    assert len(err.splitlines()) == 1
 
 
 def test_singular_family_simulation_exits_2(capsys):
@@ -428,7 +444,7 @@ def test_riccati_audit_failing_branch_exits_3(capsys, monkeypatch):
     row = {"case": "1", "spec": (0.0, 2.0, -1.0), "printed_passes": True,
            "max_residual_printed": 1e-15, "max_residual_corrected": 1.0,
            "corrected_passes": False, "matches_printed": True}
-    monkeypatch.setattr("mdpv.cli.audit_printed_forms", lambda: [row])
+    monkeypatch.setattr("mdpv.riccati.audit_printed_forms", lambda: [row])
     rc, doc, out, _err = run_json(capsys, ["riccati-audit"])
     assert rc == EXIT_FAIL
     assert "corrected branches: FAILURES" in out
@@ -615,14 +631,15 @@ def test_audit_failing_check_exits_3(capsys, monkeypatch, target):
             return replace(report, passed=False) if fid == "u5" else report
         monkeypatch.setattr(cli, "verify_family", patched)
     else:
-        real = cli.family_system_env
+        import mdpv.ansatz as ansatz
+        real = ansatz.family_system_env
 
         def patched(fid, *args):
             env = real(fid, *args)
             if fid == "u7":
                 env["a0"] += 1e-3
             return env
-        monkeypatch.setattr(cli, "family_system_env", patched)
+        monkeypatch.setattr(ansatz, "family_system_env", patched)
     rc, doc, out, err = run_json(capsys, ["audit", "--b", "3",
                                           "--draws", "1"])
     assert rc == EXIT_FAIL and err == ""
@@ -656,6 +673,37 @@ def test_cli_import_does_not_load_scipy():
                          capture_output=True, text=True, check=True,
                          timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Last stdout line of `code` run in a new interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_import_builds_and_loads_only_what_every_command_uses():
+    probe = ("import sys, mdpv.cli; from mdpv.catalog import family;"
+             " print(sorted(m for m in ('mdpv.ansatz', 'mdpv.polytools',"
+             " 'mdpv.riccati', 'mdpv.sim') if m in sys.modules),"
+             " family.cache_info().currsize)")
+    assert _fresh_interpreter(probe) == "[] 0"
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["verify", "--expr", "1/xi", "--b", "3"], 0),
+    (["simulate", "--family", "u6", "--T", "0.01"], 1),
+    (["system-verify", "--method", "tanhcoth", "--family", "u22"], 1),
+    (["list"], 23),
+])
+def test_command_builds_only_the_families_it_uses(argv, built):
+    probe = ("from mdpv import catalog, cli;"
+             f" cli.main({argv!r});"
+             " print(catalog.family.cache_info().currsize)")
+    assert _fresh_interpreter(probe) == str(built)
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None])
