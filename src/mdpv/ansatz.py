@@ -512,8 +512,6 @@ _SYSTEM_BUILDERS = {
 
 
 def system_for_family(fid: str) -> AlgebraicSystem:
-    if fid not in _ENV_BUILDERS:
-        raise KeyError(f"unknown family '{fid}' (expected u1..u23)")
     return _SYSTEM_BUILDERS[method_tag(fid)]()
 
 
@@ -525,8 +523,7 @@ def family_system_env(fid: str, b: float, params: dict[str, float],
     values for auxiliary degrees of freedom the closed form does not
     pin down (the degenerate-discriminant family leaves one kernel
     coefficient free)."""
-    if fid not in _ENV_BUILDERS:
-        raise KeyError(f"unknown family '{fid}' (expected u1..u23)")
+    method_tag(fid)   # an unknown id raises the catalog's KeyError
     if not isinstance(b, Fraction):
         b = float(b)
     return _ENV_BUILDERS[fid](b, params, aux)

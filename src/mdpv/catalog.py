@@ -27,14 +27,15 @@ negative-control tests.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .expr import (
-    Expr, cos, cosh, cot, csc, evaluate, exp, format_expr, simplify, sin,
-    sinh, sqrt, substitute_map, sym, tan, tanh,
+    Expr, Fraction, cos, cosh, cot, csc, evaluate, evaluate_exact, exp,
+    format_expr, simplify, sin, sinh, sqrt, substitute_map, sym, tan, tanh,
 )
 from .residual import (
     SCAN_N, SCAN_TOL, SCAN_WINDOW, ResidualReport, classic_eq,
@@ -384,14 +385,17 @@ def family_ids() -> list[str]:
     return list(_BUILDERS)
 
 
+def _known(fid: str) -> str:
+    """`fid` if the catalog holds it; else the one unknown-id error."""
+    if fid not in _BUILDERS:
+        raise KeyError(f"unknown family '{fid}'; known: u1..u23")
+    return fid
+
+
 @functools.cache
 def family(fid: str) -> Family:
     """The family `fid`, built on its first lookup."""
-    try:
-        build = _BUILDERS[fid]
-    except KeyError:
-        raise KeyError(f"unknown family '{fid}'; known: u1..u23") from None
-    return build(fid)
+    return _BUILDERS[_known(fid)](fid)
 
 
 class _Registry(Mapping):
@@ -417,11 +421,10 @@ FAMILIES: Mapping[str, Family] = _Registry()
 def _env(fid: str, b: float, params: Mapping[str, float]) -> dict:
     fam = family(fid)
     missing = [p for p in fam.parameters if p not in params]
-    if missing:
-        raise ValueError(f"{fid} needs parameters {missing}")
     extra = [p for p in params if p not in fam.parameters]
-    if extra:
-        raise ValueError(f"{fid} does not take parameters {extra}")
+    if missing or extra:
+        raise ValueError(f"{fid} needs parameters {list(fam.parameters)}:"
+                         f" missing {missing}, does not take {extra}")
     env = {p: float(params[p]) for p in fam.parameters}
     env["b"] = float(b)
     return env
@@ -430,7 +433,9 @@ def _env(fid: str, b: float, params: Mapping[str, float]) -> dict:
 def is_valid(fid: str, b: float, params: Mapping[str, float]
              ) -> tuple[bool, list[str]]:
     """Check b-admissibility and every family constraint; returns
-    (ok, list of violated constraint labels)."""
+    (ok, list of violated constraint labels).  A constraint whose float
+    value is not finite is violated; a nonnegativity constraint, a
+    polynomial, has its sign decided exactly at the float inputs."""
     fam = family(fid)
     bad: list[str] = []
     try:
@@ -438,11 +443,14 @@ def is_valid(fid: str, b: float, params: Mapping[str, float]
     except ValueError as e:
         return False, [str(e)]
     env = _env(fid, b, params)
+    exact = {k: Fraction(v) for k, v in env.items() if math.isfinite(v)}
     for label, e, kind in fam.constraints:
         v = evaluate(e, env)
-        if kind == NONZERO and abs(v) <= 1e-9:
+        if not math.isfinite(v):
             bad.append(label)
-        elif kind == NONNEG and v < -1e-12:
+        elif kind == NONZERO and abs(v) <= 1e-9:
+            bad.append(label)
+        elif kind == NONNEG and evaluate_exact(e, exact) < 0:
             bad.append(label)
         elif kind == POSITIVE and v <= 1e-9:
             bad.append(label)
@@ -549,7 +557,7 @@ def draw_params(fid: str, rng: np.random.Generator, b: float) -> dict:
         ok, _bad = is_valid(fid, b, params)
         if ok:
             return params
-    raise RuntimeError(f"could not draw valid parameters for {fid}")
+    raise ValueError(f"{fid} has no admissible parameter draw at b = {b:g}")
 
 
 # construction route that generated each family, spelled as the CLI's
@@ -562,8 +570,8 @@ ROUTES: dict[str, str] = {
 
 
 def method_tag(fid: str) -> str:
-    """Which construction route generated the family."""
-    return ROUTES[family(fid).family_id]
+    """Which construction route generated the family; builds none."""
+    return ROUTES[_known(fid)]
 
 
 def catalog_manifest() -> list[dict]:

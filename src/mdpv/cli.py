@@ -19,12 +19,14 @@ is written as null.  CSV files use shortest round-trip floats.
 
 Exit codes: 0 all requested checks passed; 1 usage error (a NaN or
 infinite number, a negative seed, a ``--draws`` or ``--n`` below 1 or
-past its budget, a grid past ``mdpv.sim.MAX_N`` points, or a run past
-the step budget, among them), an output path that cannot be written,
-or a stdout closed by its reader before the output was written; 2
-validity violation (excluded b, inadmissible or singular parameters, a
-parameter map with no float value, unstable step); 3 a scan, system
-check or corrected kernel branch failed; 4 numerical blow-up.
+past its budget, a ``--blowup-threshold`` that is not positive, a grid
+past ``mdpv.sim.MAX_N`` points, or a run past the step budget, among
+them), an output path that cannot be written, or a stdout closed by
+its reader before the output was written; 2 validity violation
+(excluded b, inadmissible or singular parameters, no admissible
+parameter draw at that b, a parameter map with no float value,
+unstable step); 3 a scan, system check or corrected kernel branch
+failed; 4 numerical blow-up.
 The seed defaults to 42; the environment variable MDPV_SEED overrides
 the default and ``--seed`` overrides both.
 """
@@ -309,21 +311,20 @@ def _resolve_param_sets(fid: str, b: float, provided: dict[str, float],
     (one run if there is nothing to draw)."""
     names = family(fid).parameters
     if provided:
-        missing = set(names) - set(provided)
-        extra = set(provided) - set(names)
-        if missing or extra:
-            raise UsageError(
-                f"{fid} takes exactly --param {{{', '.join(names)}}};"
-                f" missing {sorted(missing)}, unknown {sorted(extra)}")
-        params = {p: provided[p] for p in names}
-        ok, bad = is_valid(fid, b, params)
+        try:
+            ok, bad = is_valid(fid, b, provided)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if not ok:
             raise ValidityError(f"{fid} parameters violate:"
                                 f" {', '.join(bad)}")
-        return [params]
+        return [{p: provided[p] for p in names}]
     if not names:
         return [{}]
-    return [draw_params(fid, rng, b) for _ in range(draws)]
+    try:
+        return [draw_params(fid, rng, b) for _ in range(draws)]
+    except ValueError as exc:
+        raise ValidityError(str(exc)) from None
 
 
 def _print(line: str = "") -> None:
@@ -533,8 +534,8 @@ def _system_rows(fid: str, system, b_values: list[float],
             try:
                 env = family_system_env(fid, b, params, aux)
             except (ValueError, OverflowError) as exc:
-                # a negative radicand past is_valid's margin, or a power
-                # past float range: the map has no float value here
+                # a radicand that rounds below zero, or a power past
+                # float range: the map has no float value here
                 raise ValidityError(f"{fid} parameters at b = {b:g} have"
                                     f" no float system values: {exc}"
                                     ) from None
@@ -669,10 +670,7 @@ def cmd_simulate(args) -> int:
     provided = _parse_assignments(args.param, "--param")
     params = _resolve_param_sets(fid, args.b, provided,
                                  _family_rng(seed, fid), 1)[0]
-    try:
-        instance = FamilyInstance(fid, args.b, params)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INVALID)
+    instance = FamilyInstance(fid, args.b, params)
     try:
         grid = Grid(args.N, args.L)
         config = SimConfig(b=args.b, dt=args.dt, t_final=args.T,
@@ -683,7 +681,7 @@ def cmd_simulate(args) -> int:
     try:
         report = run(instance, config, grid)
     except InadmissibleFamilyError as exc:
-        return _fail(str(exc), EXIT_INVALID)
+        raise ValidityError(str(exc)) from None
     except BlowUpError as exc:
         return _fail(f"blow-up at t = {exc.t:g} (peak {exc.peak:.3e})",
                      EXIT_BLOWUP)

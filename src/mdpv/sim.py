@@ -152,6 +152,10 @@ class SimConfig:
                              f"(expected one of {SCHEMES})")
         if self.snapshots < 2:
             raise ValueError("need at least two snapshots (first, last)")
+        if not self.blowup_threshold > 0:
+            raise ValueError("blowup_threshold must be positive")
+        if not self.tail_tol > 0:
+            raise ValueError("tail_tol must be positive")
 
 
 def cfl_limit(u0: np.ndarray, grid: Grid) -> float:

@@ -9,14 +9,19 @@ the wrong convection power must all fail.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mdpv import ansatz
 from mdpv.catalog import (
     FAMILIES, catalog_manifest, draw_params, family, family_ids, is_valid,
-    printed_u10, profile_with_values, singular_points, speed_value,
-    tanh_composite_profile, verify_family,
+    method_tag, printed_u10, profile_with_values, singular_points,
+    speed_value, tanh_composite_profile, verify_family,
 )
 from mdpv.expr import evaluate, free_symbols, parse, simplify, substitute_map
 from mdpv.residual import classic_eq, modified_eq, ode_residual, scan
@@ -48,6 +53,25 @@ def test_families_mapping_contract():
 def test_unknown_family_rejected():
     with pytest.raises(KeyError, match="u1..u23"):
         family("u99")
+
+
+def test_unknown_id_is_one_catalog_error():
+    texts = set()
+    for lookup in (family, method_tag, ansatz.system_for_family,
+                   lambda fid: ansatz.family_system_env(fid, 3.0, {})):
+        with pytest.raises(KeyError) as info:
+            lookup("u99")
+        texts.add(str(info.value))
+    assert texts == {str(KeyError("unknown family 'u99'; known: u1..u23"))}
+    # the route of an id is read without building its family
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("from mdpv.catalog import family, method_tag;"
+             " print(method_tag('u5'), family.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["hyperbolic", "0"]
 
 
 @pytest.mark.parametrize("fid", family_ids())
@@ -166,14 +190,31 @@ def test_parameter_names_enforced():
         is_valid("u3", 3.0, {"mu": 1.0})
 
 
+def test_admissibility_is_exact_and_refuses_nonfinite_values():
+    # the radicand (b+1)^2 a2^2 - 1 is -2e-14 here, and exactly 0 at 1
+    ok, bad = is_valid("u7", 0.0, {"a2": 0.99999999999999})
+    assert not ok and bad == ["(b+1)^2 a2^2 - 1 >= 0"]
+    assert is_valid("u7", 0.0, {"a2": 1.0}) == (True, [])
+    # b(b+2) is past float range: the quartic radicand has no float value
+    ok, bad = is_valid("u1", 1e200, {"mu": 0.5})
+    assert not ok and bad == ["1 - b(b+2)(mu^4-1) >= 0"]
+    with pytest.raises(ValueError, match=r"u1 .* b = 1e\+200"):
+        draw_params("u1", np.random.default_rng(0), 1e200)
+
+
 def test_draws_always_valid():
+    # every admitted draw also has a finite coefficient-system map
     rng = np.random.default_rng(77)
     for fid in family_ids():
-        for b in B_GRID:
+        for b in (-3.0, -2.5, -1.5, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 10.0,
+                  100.0, 1e4, 1e6):
             for _ in range(10):
                 params = draw_params(fid, rng, b)
                 ok, bad = is_valid(fid, b, params)
                 assert ok, (fid, b, params, bad)
+                env = ansatz.family_system_env(fid, b, params)
+                assert all(math.isfinite(v) for v in env.values()), \
+                    (fid, b, params)
 
 
 # ---------------------------------------------------------------------

@@ -115,6 +115,8 @@ def test_render_json_rejects_nonfinite():
     ["audit", "--b", "3", "--draws", str(MAX_DRAWS + 1), "--json"],
     # numpy seeds only from a non-negative integer
     ["verify", "--family", "u1", "--b", "3", "--seed", "-1"],
+    # a threshold that is not positive would end a healthy run at once
+    ["simulate", "--family", "u6", "--blowup-threshold", "0", "--json"],
 ])
 def test_usage_errors(capsys, argv):
     rc, _out, err = run_cli(capsys, argv)
@@ -264,8 +266,8 @@ def test_perturbed_system_exits_3(capsys):
     # a system check past float range is reported as null, not rendered
     (["system-verify", "--method", "tanhcoth", "--family", "u20",
       "--perturb", "a0=1e308"], EXIT_FAIL),
-    # parameter maps with no float value: a radicand just below zero
-    # within is_valid's margin, and (b + 1)**2 past float range
+    # inadmissible input: a radicand just below zero, and no admissible
+    # draw at b = 1e200, where (b + 1)**2 is past float range
     (["system-verify", "--method", "hyperbolic", "--family", "u7", "--b",
       "0", "--param", "a2=0.99999999999999"], EXIT_INVALID),
     (["system-verify", "--method", "hyperbolic", "--family", "u7", "--b",
@@ -275,6 +277,10 @@ def test_perturbed_system_exits_3(capsys):
     # value: reported infinite, as a scan reports a non-finite point
     (["verify", "--expr", "sqrt(-1)", "--b", "3"], EXIT_FAIL),
     (["verify", "--expr", "log(0)", "--b", "3"], EXIT_FAIL),
+    # the scan path refuses the same inadmissible input as the system path
+    (["verify", "--family", "u7", "--b", "0", "--param",
+      "a2=0.99999999999999"], EXIT_INVALID),
+    (["verify", "--family", "u7", "--b", "1e200"], EXIT_INVALID),
 ])
 def test_every_exit_code_with_json(capsys, argv, code):
     rc, out, err = run_cli(capsys, argv + ["--json"])
