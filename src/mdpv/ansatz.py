@@ -50,10 +50,6 @@ __all__ = [
 ]
 
 
-def _as_expr(v) -> Expr:
-    return v if isinstance(v, Expr) else con(v)
-
-
 # ---------------------------------------------------------------------
 # balance of leading exponents
 
@@ -217,8 +213,8 @@ def cole_hopf_build(amplitude, background, wavenumber, speed, phase):
                      ("speed", speed)):
         if not isinstance(v, Expr) and float(v) == 0.0:
             raise ValueError(f"{label} must be nonzero")
-    A, B = _as_expr(amplitude), _as_expr(background)
-    mu, lam, delta = map(_as_expr, (wavenumber, speed, phase))
+    A, B = con(amplitude), con(background)
+    mu, lam, delta = map(con, (wavenumber, speed, phase))
     theta = add(mul(mu, Sym("x")), mul(lam, Sym("t")), delta)
     log_form = add(mul(A, diff(diff(log(add(con(1), exp(theta))), "x"),
                                "x")), B)
@@ -272,7 +268,7 @@ def cole_hopf_system() -> AlgebraicSystem:
 
 def rational_hyperbolic_build(a0, a1, a2, c1, c2, lam) -> Expr:
     """(a0 + a1 sinh + a2 cosh)/(1 + c1 sinh + c2 cosh) of x + lam t."""
-    a0, a1, a2, c1, c2, lam = map(_as_expr, (a0, a1, a2, c1, c2, lam))
+    a0, a1, a2, c1, c2, lam = map(con, (a0, a1, a2, c1, c2, lam))
     xi = add(Sym("x"), mul(lam, Sym("t")))
     num = add(a0, mul(a1, sinh(xi)), mul(a2, cosh(xi)))
     den = add(con(1), mul(c1, sinh(xi)), mul(c2, cosh(xi)))
@@ -316,7 +312,7 @@ def laurent_residual(a0, a1, a2, c1, c2, alpha, beta, gamma, lam,
     + c2/phi^2, multiplied by phi^CLEARING_POWER: a polynomial in the
     kernel phi, whose derivative is alpha + beta phi + gamma phi^2."""
     a0, a1, a2, c1, c2, alpha, beta, gamma, lam, b = map(
-        _as_expr, (a0, a1, a2, c1, c2, alpha, beta, gamma, lam, b))
+        con, (a0, a1, a2, c1, c2, alpha, beta, gamma, lam, b))
     phi = Sym("phi")
     # u = P / phi^2, and d/dxi = (alpha + beta phi + gamma phi^2) d/dphi
     P = add(c2, mul(c1, phi), mul(a0, pow_(phi, 2)), mul(a1, pow_(phi, 3)),

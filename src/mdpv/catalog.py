@@ -40,7 +40,7 @@ from .expr import (
 from .residual import (
     SCAN_N, SCAN_TOL, SCAN_WINDOW, ResidualReport, classic_eq,
     distinct_points, find_zeros, modified_eq, ode_residual,
-    require_valid_b, scan, traveling_profile,
+    require_valid_b, scan,
 )
 
 __all__ = [
@@ -538,10 +538,6 @@ class FamilyInstance:
 
     def speed(self) -> float:
         return speed_value(self.family_id, self.b, self.params)
-
-    def build(self) -> Expr:
-        """The candidate solution u(x, t) on xi = x + lam*t."""
-        return traveling_profile(self.profile(), self.speed())
 
     def singularities(self, window: tuple[float, float]) -> list[float]:
         return singular_points(self.family_id, self.b, self.params,

@@ -384,11 +384,9 @@ def _verify_expression(args, seed: int) -> int:
         except EvalError:
             # a domain error (sqrt(-1), log(0)) has no value: an
             # infinite residual, as a scan reports a non-finite point
-            report = ResidualReport(float("inf"), 1, 0, args.tol, 0.0,
-                                    False)
+            report = ResidualReport(float("inf"), 1, 0, args.tol, 0.0)
         else:
-            report = ResidualReport(value, 1, 0, args.tol, value,
-                                    value <= args.tol * (1.0 + value))
+            report = ResidualReport(value, 1, 0, args.tol, value)
     _print(report.line(f"expr[{args.expr}] b={args.b:g} {args.variant}"))
     doc = {
         "manifest": _manifest("verify", seed, {

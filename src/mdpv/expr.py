@@ -298,8 +298,8 @@ ONE = Const(1)
 HALF = Const(Fraction(1, 2))
 
 
-def con(v: Number) -> Const:
-    return v if isinstance(v, Const) else Const(v)
+def con(v: Number | Expr) -> Expr:
+    return v if isinstance(v, Expr) else Const(v)
 
 
 def sym(name: str) -> Sym:
@@ -1013,13 +1013,19 @@ def _term_split(t: Expr) -> tuple[Number, Expr | None]:
     return Fraction(1), t
 
 
-def _sqrt_fold(v: Fraction) -> Expr | None:
-    if v < 0:
-        return None
+def _fold_constant(t: Expr) -> Expr:
+    # a call on a constant, or a rational x^(1/2), as the constant it
+    # equals: exact where evaluate_exact finds the value, else the float
+    # value of a call on a float; t itself when neither is defined
     try:
-        return Const(_exact_root(v, 2))
+        return Const(evaluate_exact(t, {}))
     except ExactnessError:
-        return None
+        if isinstance(t, Call) and not t.arg.is_rational:
+            try:
+                return Const(_MATH_FN[t.fn](t.arg.value))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass
+        return t
 
 
 def simplify(e: Expr) -> Expr:
@@ -1129,11 +1135,8 @@ def _simp(t: Expr, memo: Mapping[Expr, Expr], walk) -> Expr:
         # powers of rationals; simplify adds the two folds below
         if isinstance(x, Const) and x.is_rational:
             xv = x.value
-            if xv == Fraction(1, 2) and isinstance(b, Const) and \
-                    b.is_rational:
-                folded = _sqrt_fold(b.value)
-                if folded is not None:
-                    return folded
+            if xv == Fraction(1, 2) and isinstance(b, Const) and b.is_rational:
+                return _fold_constant(pow_(b, x))
             if isinstance(b, Pow) and isinstance(b.exponent, Const) and \
                     b.exponent.is_rational and \
                     b.exponent.value.denominator == 1 and \
@@ -1142,24 +1145,8 @@ def _simp(t: Expr, memo: Mapping[Expr, Expr], walk) -> Expr:
         return pow_(b, x)
 
     if isinstance(t, Call):
-        a = memo[t.arg]
-        if isinstance(a, Const):
-            if a.is_rational:
-                av = a.value
-                if av == 0 and t.fn in _EXACT_CALL_AT_ZERO:
-                    return Const(_EXACT_CALL_AT_ZERO[t.fn])
-                if t.fn == "log" and av == 1:
-                    return ZERO
-                if t.fn == "sqrt":
-                    folded = _sqrt_fold(av)
-                    if folded is not None:
-                        return folded
-            else:
-                try:
-                    return Const(_MATH_FN[t.fn](float(a.value)))
-                except (ValueError, ZeroDivisionError, OverflowError):
-                    pass
-        return call(t.fn, a)
+        out = call(t.fn, memo[t.arg])
+        return _fold_constant(out) if isinstance(out.arg, Const) else out
 
     raise TypeError(type(t))
 
@@ -1183,35 +1170,52 @@ def _flat_mul(items: Iterable[Expr]):
 # ---------------------------------------------------------------------
 # compiled vectorized evaluation
 
+# the numpy source of each function, applied to the operand {0}
 _NP_FN = {
-    "exp": "np.exp", "log": "np.log", "sqrt": "np.sqrt",
-    "sin": "np.sin", "cos": "np.cos", "tan": "np.tan",
-    "sinh": "np.sinh", "cosh": "np.cosh", "tanh": "np.tanh",
+    "exp": "np.exp({0})", "log": "np.log({0})", "sqrt": "np.sqrt({0})",
+    "sin": "np.sin({0})", "cos": "np.cos({0})", "tan": "np.tan({0})",
+    "cot": "np.cos({0}) / np.sin({0})", "csc": "1.0 / np.sin({0})",
+    "sinh": "np.sinh({0})", "cosh": "np.cosh({0})", "tanh": "np.tanh({0})",
 }
 
 # operands per emitted line of a long sum or product
 _FOLD_CHUNK = 64
 
-# compiled functions kept: a default `mdpv audit` compiles 158 and the
-# whole test suite, in one process, 1252.  The key holds its tree
+# compiled functions kept: a default `mdpv audit` compiles 55 and the
+# whole test suite, in one process, 464.  The key holds its tree
 # strongly, so an evicted tree can leave the weak node table.
 _COMPILE_CACHE_SIZE = 4096
 
 
-def compile_fn(e: Expr, variables: Sequence[str]) -> Callable:
+def compile_fn(e: Expr | tuple[Expr, ...],
+               variables: Sequence[str]) -> Callable:
     """Compile to a vectorized numpy function of the given variables.
 
-    Structurally equal subtrees share one temporary, so heavily
+    Given a tuple of expressions, the one function returns a tuple with
+    one array per expression.  Structurally equal subtrees, within one
+    expression or across the tuple, share one temporary, so heavily
     structured derivative trees evaluate in roughly DAG-size many
-    operations.  Domain violations yield nan/inf elementwise instead of
-    raising; callers decide how to treat non-finite output.  The last
-    `_COMPILE_CACHE_SIZE` compiled functions are kept for reuse.
+    operations.  A constant output is filled to the arguments'
+    broadcast shape.  Domain violations yield nan/inf elementwise
+    instead of raising; callers decide how to treat non-finite output.
+    The last `_COMPILE_CACHE_SIZE` compiled functions are kept for
+    reuse.
     """
     return _compile(e, tuple(variables))
 
 
+def _filled(out, arrs: list) -> np.ndarray:
+    # a constant output as an array of the arguments' broadcast shape
+    if np.isscalar(out) or (isinstance(out, np.ndarray) and out.shape == ()):
+        shape = np.broadcast(*arrs).shape if arrs else ()
+        out = np.full(shape, float(out)) if shape else np.asarray(
+            out, dtype=float)
+    return out
+
+
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
-def _compile(e: Expr, variables: tuple[str, ...]) -> Callable:
+def _compile(e: Expr | tuple[Expr, ...],
+             variables: tuple[str, ...]) -> Callable:
     names: dict[Expr, str] = {}
     lines: list[str] = []
     var_set = set(variables)
@@ -1228,7 +1232,8 @@ def _compile(e: Expr, variables: tuple[str, ...]) -> Callable:
         for i in range(_FOLD_CHUNK, len(refs), _FOLD_CHUNK - 1):
             emit(f"{ref} = " + op.join([ref, *refs[i:i + _FOLD_CHUNK - 1]]))
 
-    for node in postorder(e):
+    roots = e if isinstance(e, tuple) else (e,)
+    for node in (n for root in roots for n in postorder(root, names)):
         if isinstance(node, Const):
             # np.float64 so 0.0**-3 yields inf under errstate instead of
             # raising like a bare python float would
@@ -1255,18 +1260,13 @@ def _compile(e: Expr, variables: tuple[str, ...]) -> Callable:
                 else:
                     emit(f"{ref} = {b} ** ({names[ex]})")
             elif isinstance(node, Call):
-                a = names[node.arg]
-                if node.fn == "cot":
-                    emit(f"{ref} = np.cos({a}) / np.sin({a})")
-                elif node.fn == "csc":
-                    emit(f"{ref} = 1.0 / np.sin({a})")
-                else:
-                    emit(f"{ref} = {_NP_FN[node.fn]}({a})")
+                emit(f"{ref} = " + _NP_FN[node.fn].format(names[node.arg]))
             else:
                 raise TypeError(type(node))
         names[node] = ref
 
-    result = names[e]
+    refs = ", ".join(names[root] for root in roots)
+    result = f"({refs},)" if isinstance(e, tuple) else refs
     args = ", ".join(f"v_{v}" for v in variables)
     src = (
         f"def _generated({args}):\n"
@@ -1282,12 +1282,9 @@ def _compile(e: Expr, variables: tuple[str, ...]) -> Callable:
     def wrapped(*arrays):
         arrs = [np.asarray(a, dtype=float) for a in arrays]
         out = raw(*arrs)
-        if np.isscalar(out) or (isinstance(out, np.ndarray) and
-                                out.shape == ()):
-            shape = np.broadcast(*arrs).shape if arrs else ()
-            out = np.full(shape, float(out)) if shape else np.asarray(
-                out, dtype=float)
-        return out
+        if isinstance(e, tuple):
+            return tuple(_filled(o, arrs) for o in out)
+        return _filled(out, arrs)
 
     return wrapped
 
@@ -1304,8 +1301,7 @@ def pointwise_equal(e1: Expr, e2: Expr,
         if nm not in domain:
             raise ValueError(f"no domain declared for symbol '{nm}'")
     rng = np.random.default_rng(seed)
-    f1 = compile_fn(e1, names)
-    f2 = compile_fn(e2, names)
+    f = compile_fn((e1, e2), names)
     checked = 0
     attempts = 0
     while checked < n:
@@ -1316,8 +1312,7 @@ def pointwise_equal(e1: Expr, e2: Expr,
         if exclude is not None and exclude(pt):
             continue
         args = [pt[nm] for nm in names]
-        v1 = float(f1(*args))
-        v2 = float(f2(*args))
+        v1, v2 = (float(v) for v in f(*args))
         if not (math.isfinite(v1) and math.isfinite(v2)):
             continue
         if abs(v1 - v2) > tol * (1.0 + max(abs(v1), abs(v2))):

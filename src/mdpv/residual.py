@@ -20,14 +20,14 @@ on the grid, not against machine zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .expr import (
-    Add, Const, Expr, compile_fn, con, diff, free_symbols, substitute, sym,
+    Add, Expr, compile_fn, con, diff, free_symbols, substitute, sym,
 )
 
 __all__ = [
@@ -50,14 +50,6 @@ ZERO_GRID_POINTS = 4001
 REFINE_TOL = 1e-10
 
 
-def _as_coeff(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, float):
-        return Const(v)
-    return con(Fraction(v))
-
-
 @dataclass(frozen=True)
 class EquationVariant:
     """One member of the b-family: convection u^p u_x with p in {1, 2}."""
@@ -73,12 +65,12 @@ class EquationVariant:
 
 def modified_eq(b) -> EquationVariant:
     """Cubic convection (p = 2)."""
-    return EquationVariant(_as_coeff(b), 2, "mdp")
+    return EquationVariant(con(b), 2, "mdp")
 
 
 def classic_eq(b) -> EquationVariant:
     """Quadratic convection (p = 1)."""
-    return EquationVariant(_as_coeff(b), 1, "dp")
+    return EquationVariant(con(b), 1, "dp")
 
 
 def require_valid_b(b: float) -> None:
@@ -103,7 +95,7 @@ def pde_residual(u: Expr, eq: EquationVariant) -> Expr:
 def ode_residual(U: Expr, eq: EquationVariant, lam) -> Expr:
     """Residual of the traveling-profile reduction on xi = x + lam*t."""
     b = eq.b
-    lam_e = _as_coeff(lam)
+    lam_e = con(lam)
     Up = diff(U, "xi")
     Upp = diff(Up, "xi")
     Uppp = diff(Upp, "xi")
@@ -115,7 +107,7 @@ def ode_residual(U: Expr, eq: EquationVariant, lam) -> Expr:
 def traveling_profile(U: Expr, lam) -> Expr:
     """Substitute xi = x + lam*t, turning a profile into a candidate
     solution of the evolution equation."""
-    lam_e = _as_coeff(lam)
+    lam_e = con(lam)
     return substitute(U, "xi", sym("x") + lam_e * sym("t"))
 
 
@@ -126,7 +118,13 @@ class ResidualReport:
     points_excluded: int
     tolerance: float
     scale: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """A finite max |R| within tolerance of the cancellation scale:
+        max |R| <= tolerance * (1 + scale)."""
+        return math.isfinite(self.max_abs_residual) and \
+            self.max_abs_residual <= self.tolerance * (1.0 + self.scale)
 
     def line(self, label: str) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -144,11 +142,12 @@ def scan(residual: Expr, env: Mapping[str, float],
 
     The scan variable is the single free symbol of `residual` not bound
     by `env`.  Grid points within EXCLUSION_RADIUS of a declared
-    exclusion are skipped.  Each top-level term is compiled and
-    evaluated once; the scale is the largest finite term magnitude, and
-    the residual's values are the left-to-right sum of the term values,
-    bit for bit what the compiled residual gives.  A non-finite
-    residual anywhere else fails the scan outright.
+    exclusion are skipped.  The top-level terms are compiled together
+    into one function that returns each term's values; the scale is the
+    largest finite term magnitude, and the residual's values are the
+    left-to-right sum of the term values, bit for bit what the compiled
+    residual gives.  A non-finite residual anywhere else fails the scan
+    outright.
     """
     free = free_symbols(residual)
     unbound = sorted(free - set(env.keys()))
@@ -165,17 +164,11 @@ def scan(residual: Expr, env: Mapping[str, float],
     pts = grid[keep]
     excluded = int(n - pts.size)
     if pts.size == 0:
-        return ResidualReport(float("inf"), 0, excluded, tol, 0.0, False)
-
-    args = {nm: float(env[nm]) for nm in bound}
-
-    def ev(e: Expr) -> np.ndarray:
-        f = compile_fn(e, [var] + bound)
-        out = f(pts, *[args[nm] for nm in bound])
-        return np.broadcast_to(np.asarray(out, dtype=float), pts.shape)
+        return ResidualReport(float("inf"), 0, excluded, tol, 0.0)
 
     terms = residual.terms if isinstance(residual, Add) else (residual,)
-    tvals = [ev(term) for term in terms]
+    tvals = compile_fn(terms, [var] + bound)(
+        pts, *[float(env[nm]) for nm in bound])
     scale = 0.0
     for tv in tvals:
         finite = tv[np.isfinite(tv)]
@@ -187,11 +180,9 @@ def scan(residual: Expr, env: Mapping[str, float],
 
     if not np.all(np.isfinite(rvals)):
         return ResidualReport(float("inf"), int(pts.size), excluded,
-                              tol, scale, False)
-    max_abs = float(np.max(np.abs(rvals)))
-    passed = max_abs <= tol * (1.0 + scale)
-    return ResidualReport(max_abs, int(pts.size), excluded, tol, scale,
-                          passed)
+                              tol, scale)
+    return ResidualReport(float(np.max(np.abs(rvals))), int(pts.size),
+                          excluded, tol, scale)
 
 
 def find_zeros(f: Expr, var: str, window: tuple[float, float],
@@ -200,34 +191,34 @@ def find_zeros(f: Expr, var: str, window: tuple[float, float],
     tangential ones (where the function touches zero without a sign
     change, as 1 - cosh does at the origin).
 
-    One rule brackets the grid values of f and of f': where both
-    neighbours are finite, an exact zero is a root at its left node and
-    a sign change is bisected, all brackets at once.  A zero of f' is a
-    tangential root where |f| is negligible against f's window-wide
-    scale.  The roots come back as `distinct_points`.
+    f and f' are compiled as one function.  One rule brackets the grid
+    values of f and of f': where both neighbours are finite, an exact
+    zero is a root at its left node and a sign change is bisected, all
+    brackets at once.  A zero of f' is a tangential root where |f| is
+    negligible against f's window-wide scale.  The roots come back as
+    `distinct_points`.
     """
     env = dict(env or {})
     names = sorted(free_symbols(f) - {var})
     extra = [float(env[nm]) for nm in names]
-    fn = compile_fn(f, [var] + names)
-    dfn = compile_fn(diff(f, var), [var] + names)
+    fn = compile_fn((f, diff(f, var)), [var] + names)
 
-    def at(func, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(
-            np.asarray(func(x, *extra), dtype=float), x.shape)
+    def at(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return fn(x, *extra)
 
     lo, hi = window
     xs = np.linspace(lo, hi, ZERO_GRID_POINTS)
 
-    def zeros_of(func, v: np.ndarray) -> np.ndarray:
+    def zeros_of(k: int, v: np.ndarray) -> np.ndarray:
+        # roots of output k of `at` (0: f, 1: f'), whose grid values are v
         finite = np.isfinite(v[:-1]) & np.isfinite(v[1:])
         exact = finite & (v[:-1] == 0.0)
         change = finite & ~exact & ((v[:-1] < 0) != (v[1:] < 0))
         a, b = xs[:-1][change], xs[1:][change]
-        fa = at(func, a)
+        fa = at(a)[k]
         for _ in range(200):
             m = 0.5 * (a + b)
-            fm = at(func, m)
+            fm = at(m)[k]
             stop = (b - a < REFINE_TOL) | (fm == 0.0)
             # a stopped bracket collapses onto its midpoint and stays
             a, b = np.where(stop, m, a), np.where(stop, m, b)
@@ -238,13 +229,13 @@ def find_zeros(f: Expr, var: str, window: tuple[float, float],
             a, fa = np.where(left, a, m), np.where(left, fa, fm)
         return np.concatenate([xs[:-1][exact], 0.5 * (a + b)])
 
-    vals = at(fn, xs)
+    vals, dvals = at(xs)
     finite = np.isfinite(vals)
     fscale = float(np.max(np.abs(vals[finite]))) if finite.any() else 1.0
-    crit = zeros_of(dfn, at(dfn, xs))
-    vc = at(fn, crit)
+    crit = zeros_of(1, dvals)
+    vc = at(crit)[0]
     small = np.isfinite(vc) & (np.abs(vc) <= 1e-8 * (1.0 + fscale))
-    roots = np.concatenate([zeros_of(fn, vals), crit[small]])
+    roots = np.concatenate([zeros_of(0, vals), crit[small]])
     return distinct_points(roots[(lo < roots) & (roots < hi)].tolist())
 
 

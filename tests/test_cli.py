@@ -634,7 +634,7 @@ def test_audit_failing_check_exits_3(capsys, monkeypatch, target):
 
         def patched(fid, *args, **kwargs):
             report = real(fid, *args, **kwargs)
-            return replace(report, passed=False) if fid == "u5" else report
+            return replace(report, tolerance=-1.0) if fid == "u5" else report
         monkeypatch.setattr(cli, "verify_family", patched)
     else:
         import mdpv.ansatz as ansatz

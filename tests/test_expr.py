@@ -415,6 +415,29 @@ def test_simplify_exact_constant_folding():
     assert isinstance(f, Const) and f.value == pytest.approx(math.sin(0.5))
 
 
+@pytest.mark.parametrize("e,want", [
+    (parse("sqrt(4)"), Const(2)),
+    (parse("sqrt(0.25)"), Const(Fraction(1, 2))),
+    (parse("4^(1/2)"), Const(2)),
+    (parse("0^(1/2)"), Const(0)),
+    (parse("exp(0)"), Const(1)),
+    (parse("log(1)"), Const(0)),
+    (E.call("sin", Const(0.5)), Const(math.sin(0.5))),
+])
+def test_simplify_folds_these_constants(e, want):
+    assert simplify(e) is want
+
+
+@pytest.mark.parametrize("e", [
+    parse("sqrt(2)"), parse("sqrt(-4)"), parse("(-4)^(1/2)"),
+    parse("log(0)"), parse("cot(0)"), parse("exp(1)"),
+    E.call("cot", Const(0.0)), E.call("log", Const(-1.0)),
+    E.call("exp", Const(1000.0)),
+], ids=str)
+def test_simplify_leaves_these_unfolded(e):
+    assert simplify(e) is e
+
+
 def test_simplify_never_demotes_rational_zero():
     z = simplify(parse("x - x"))
     assert isinstance(z, Const) and z.is_rational and z.value == 0

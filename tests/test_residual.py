@@ -16,11 +16,14 @@ from mdpv.catalog import (
     FamilyInstance, _env as _family_env, draw_params, family, family_ids,
     singular_points,
 )
+from mdpv import expr
 from mdpv.expr import (
-    compile_fn, cosh, diff, evaluate, free_symbols, parse, pointwise_equal,
-    sym,
+    Add, Const, compile_fn, cos, cosh, diff, evaluate, free_symbols, parse,
+    pointwise_equal, sin, sym,
 )
-from mdpv.riccati import AUDIT_SPECS, solution as riccati_solution
+from mdpv.riccati import (
+    AUDIT_SPECS, _measure as riccati_measure, solution as riccati_solution,
+)
 from mdpv.residual import (
     EquationVariant, ResidualReport, classic_eq, find_zeros, modified_eq,
     ode_residual, pde_residual, require_valid_b, scan, traveling_profile,
@@ -144,11 +147,28 @@ def test_require_valid_b():
         require_valid_b(-2.0 + 1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_report_never_passes_a_non_finite_residual(bad):
+    for scale in (0.0, 1.0, 1e300):
+        assert not ResidualReport(bad, 1, 0, 1e300, scale).passed
+
+
+@pytest.mark.parametrize("tol,scale", [(1e-9, 0.0), (1e-9, 2.5),
+                                       (0.5, 1e10), (0.0, 7.0)])
+def test_report_passes_exactly_within_tolerance_of_the_scale(tol, scale):
+    bound = tol * (1.0 + scale)
+    assert ResidualReport(bound, 1, 0, tol, scale).passed
+    assert ResidualReport(0.0, 1, 0, tol, scale).passed
+    above = float(np.nextafter(bound, math.inf))
+    assert not ResidualReport(above, 1, 0, tol, scale).passed
+    assert not ResidualReport(0.0, 1, 0, -1.0, scale).passed
+
+
 def test_report_line_format():
-    rep = ResidualReport(1e-12, 250, 7, 1e-9, 2.5, True)
+    rep = ResidualReport(1e-12, 250, 7, 1e-9, 2.5)
     line = rep.line("check")
     assert "pass" in line and "250" in line and "excluded" in line
-    rep2 = ResidualReport(1.0, 10, 0, 1e-9, 1.0, False)
+    rep2 = ResidualReport(1.0, 10, 0, 1e-9, 1.0)
     assert "FAIL" in rep2.line("x")
 
 
@@ -302,3 +322,42 @@ def test_scan_maximum_is_the_compiled_residual_maximum(fid):
     vals = compile_fn(R, ["xi"])(grid[keep])
     assert rep.points_excluded == n - keep.sum()
     assert rep.max_abs_residual == float(np.max(np.abs(vals)))
+
+
+def test_terms_compiled_together_equal_each_term_compiled_alone():
+    rng = np.random.default_rng(5)
+    terms = []
+    for fid in family_ids():
+        inst = FamilyInstance(fid, 3.0, draw_params(fid, rng, 3.0))
+        R = ode_residual(inst.profile(), modified_eq(3.0), inst.speed())
+        terms.extend(R.terms if isinstance(R, Add) else (R,))
+    terms.append(Const(2))
+    pts = np.linspace(-8.0, 8.0, 257)
+    together = compile_fn(tuple(terms), ["xi"])(pts)
+    assert isinstance(together, tuple) and len(together) == len(terms)
+    for term, got in zip(terms, together):
+        alone = compile_fn(term, ["xi"])(pts)
+        assert got.shape == pts.shape
+        assert np.array_equal(got, alone, equal_nan=True)
+    assert np.array_equal(together[-1], np.full(pts.shape, 2.0))
+
+
+def test_each_check_compiles_one_function():
+    def misses_of(check) -> int:
+        before = expr._compile.cache_info().misses
+        check()
+        return expr._compile.cache_info().misses - before
+
+    expr._compile.cache_clear()
+    U, lam = _sech2_profile(2.75)
+    R = ode_residual(U, modified_eq(2.75), lam)
+    spec = AUDIT_SPECS["5"]
+    x = sym("x")
+    assert misses_of(lambda: scan(R, {})) == 1
+    assert misses_of(lambda: find_zeros(parse("sin(x)"), "x",
+                                        (-7, 7))) == 1
+    assert misses_of(lambda: riccati_measure(
+        riccati_solution(spec).phi, spec, np.linspace(0.1, 1, 5),
+        1e-9)) == 1
+    assert misses_of(lambda: pointwise_equal(
+        sin(2 * x), 2 * sin(x) * cos(x), {"x": (-3, 3)})) == 1
