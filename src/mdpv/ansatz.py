@@ -46,7 +46,7 @@ __all__ = [
     "rational_hyperbolic_build", "rational_hyperbolic_system",
     "balance_m", "BALANCE_PAIRS", "CHOSEN_DEGREE", "CLEARING_POWER",
     "laurent_residual", "tanh_coth_system",
-    "system_for_family", "family_system_env",
+    "system_for_family", "family_system_env", "draw_aux",
 ]
 
 
@@ -82,7 +82,6 @@ class AlgebraicSystem:
     (before any clearing shift); `distinct` indexes one representative
     per proportionality class."""
 
-    method: str
     variable: str
     unknowns: tuple[str, ...]
     powers: tuple[int, ...]
@@ -128,7 +127,7 @@ class AlgebraicSystem:
                 for p, eq in zip(self.powers, self.equations)]
 
 
-def _assemble_system(method: str, variable: str, unknowns: tuple[str, ...],
+def _assemble_system(variable: str, unknowns: tuple[str, ...],
                      groups: dict[int, pt.Poly], param_names: tuple[str, ...],
                      nonzero: tuple[str, ...], normalization: str,
                      ) -> AlgebraicSystem:
@@ -141,7 +140,7 @@ def _assemble_system(method: str, variable: str, unknowns: tuple[str, ...],
     for j in sorted(groups):
         poly = pt.normalize_primitive(
             pt.strip_monomial_gcd(groups[j], param_names, nonzero))
-        if pt.poly_is_zero(poly):
+        if not poly:
             continue
         powers.append(j)
         equations.append(pt.from_poly(poly, param_names))
@@ -152,7 +151,7 @@ def _assemble_system(method: str, variable: str, unknowns: tuple[str, ...],
         if key not in seen:
             seen.add(key)
             distinct.append(i)
-    return AlgebraicSystem(method, variable, unknowns, tuple(powers),
+    return AlgebraicSystem(variable, unknowns, tuple(powers),
                            tuple(equations), normalization,
                            tuple(distinct))
 
@@ -257,7 +256,7 @@ def cole_hopf_system() -> AlgebraicSystem:
     )
     groups = _collect_powers(total, _CH_VARS)
     return _assemble_system(
-        "colehopf", "exponential of the phase", _CH_UNKNOWNS, groups,
+        "exponential of the phase", _CH_UNKNOWNS, groups,
         _CH_VARS[1:], ("amp", "mu"),
         "multiplied by (1+z)^7; amp/mu monomial factors stripped "
         "(both are nonzero by construction); rational content removed")
@@ -293,7 +292,7 @@ def rational_hyperbolic_system() -> AlgebraicSystem:
     total = _wave_numerator(P, 1, z, Q, "z", lam, b)
     groups = _collect_powers(total, _HYP_VARS)
     return _assemble_system(
-        "hyperbolic", "exponential of the wave variable", _HYP_UNKNOWNS,
+        "exponential of the wave variable", _HYP_UNKNOWNS,
         groups, _HYP_VARS[1:], (),
         "multiplied by denominator^5 in the exponential variable; "
         "common exponential powers dropped (collection variable is "
@@ -334,7 +333,7 @@ def tanh_coth_system() -> AlgebraicSystem:
                                   "beta", "gamma", "lam", "b")))
     groups = _collect_powers(cleared, ("phi",) + _TC_VARS)
     return _assemble_system(
-        "tanhcoth", "kernel function of the quadratic ODE", _TC_UNKNOWNS,
+        "kernel function of the quadratic ODE", _TC_UNKNOWNS,
         {j - CLEARING_POWER: g for j, g in groups.items()}, _TC_VARS, (),
         "kernel powers collected directly from the Laurent residual; "
         "powers quoted before the phi^7 clearing shift; rational "
@@ -398,6 +397,14 @@ def _env_u11(b: float, beta: float, alpha: float) -> dict[str, float]:
     return _tc_env(b, -b - 1, 3 * (b + 2) * beta ** 2 / (2 * (b + 1)) - 1,
                    0, 0, k * alpha * beta, k * alpha ** 2,
                    alpha, beta, gamma)
+
+
+def draw_aux(fid: str, rng) -> dict[str, float] | None:
+    """`family_system_env`'s `aux` for one parameter set, drawn from
+    `rng`: u11's closed form leaves its kernel coefficient alpha free,
+    and every other family's map pins all of its route's unknowns."""
+    return {"alpha": float(rng.uniform(0.5, 2.0))} if fid == "u11" \
+        else None
 
 
 def _env_u1213(sign: int, b: float, beta: float,
@@ -497,9 +504,10 @@ _ENV_BUILDERS = {
 }
 
 
-# route -> system builder; each builder is looked up by name at call
-# time, so a wrapper installed on the module attribute (as the
-# benchmark's tracing does) also sees calls made through this table
+# route, as catalog.ROUTES names it -> system builder.  Each builder is
+# looked up by name at call time, so a wrapper installed on the module
+# attribute (as the benchmark's tracing does) also sees calls made
+# through this table
 _SYSTEM_BUILDERS = {
     "colehopf": lambda: cole_hopf_system(),
     "hyperbolic": lambda: rational_hyperbolic_system(),

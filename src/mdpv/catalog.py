@@ -38,13 +38,12 @@ from .expr import (
     format_expr, simplify, sin, sinh, sqrt, substitute_map, sym, tan, tanh,
 )
 from .residual import (
-    SCAN_N, SCAN_TOL, SCAN_WINDOW, ResidualReport, classic_eq,
-    distinct_points, find_zeros, modified_eq, ode_residual,
-    require_valid_b, scan,
+    SCAN_N, SCAN_TOL, SCAN_WINDOW, VARIANTS, ResidualReport,
+    distinct_points, find_zeros, ode_residual, require_valid_b, scan,
 )
 
 __all__ = [
-    "Family", "FamilyInstance", "FAMILIES", "family", "family_ids",
+    "Family", "FamilyInstance", "family", "family_ids",
     "profile_with_values", "speed_value", "is_valid", "singular_points",
     "verify_family", "draw_params", "method_tag", "catalog_manifest",
     "ROUTES", "printed_u10",
@@ -398,23 +397,6 @@ def family(fid: str) -> Family:
     return _BUILDERS[_known(fid)](fid)
 
 
-class _Registry(Mapping):
-    """Read-only view of every family by id, in catalog order; an item
-    is built when it is first read, not when the view is iterated."""
-
-    def __getitem__(self, fid: str) -> Family:
-        return family(fid)
-
-    def __iter__(self):
-        return iter(_BUILDERS)
-
-    def __len__(self) -> int:
-        return len(_BUILDERS)
-
-
-FAMILIES: Mapping[str, Family] = _Registry()
-
-
 # ---------------------------------------------------------------------
 # numeric services
 
@@ -491,8 +473,7 @@ def _family_residual(fid: str, variant: str) -> Expr:
     got = _residual_cache.get(key)
     if got is None:
         fam = family(fid)
-        eq = modified_eq(B) if variant == "mdp" else classic_eq(B)
-        got = ode_residual(fam.profile, eq, fam.speed)
+        got = ode_residual(fam.profile, VARIANTS[variant](B), fam.speed)
         _residual_cache[key] = got
     return got
 
@@ -501,7 +482,9 @@ def verify_family(fid: str, b: float, params: Mapping[str, float],
                   window: tuple[float, float] = SCAN_WINDOW,
                   n: int = SCAN_N, tol: float = SCAN_TOL,
                   variant: str = "mdp") -> ResidualReport:
-    """Scan the traveling-reduction residual of one family member.
+    """Scan the traveling-reduction residual of one family member under
+    the equation that `variant`, a tag of `residual.VARIANTS`, names;
+    any other tag raises KeyError.
 
     Validity must be checked by the caller (`is_valid`); here invalid
     parameters surface as non-finite values or failed scans.

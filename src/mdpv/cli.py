@@ -18,17 +18,19 @@ carry 17 significant digits; a non-finite measured residual or scale
 is written as null.  CSV files use shortest round-trip floats.
 
 Exit codes: 0 all requested checks passed; 1 usage error (a NaN or
-infinite number, a negative seed, a ``--draws`` or ``--n`` below 1 or
-past its budget, a ``--blowup-threshold`` that is not positive, a grid
-past ``mdpv.sim.MAX_N`` points, or a run past the step budget, among
-them), an output path that cannot be written, or a stdout closed by
-its reader before the output was written; 2 validity violation
-(excluded b, inadmissible or singular parameters, no admissible
-parameter draw at that b, a parameter map with no float value,
-unstable step); 3 a scan, system check or corrected kernel branch
-failed; 4 numerical blow-up.
+infinite number, a negative seed, a ``--perturb`` name that is not one
+of the route's system unknowns, b among them, a ``--draws`` or
+``--n`` below 1 or past its budget, a ``--blowup-threshold`` that is
+not positive, a grid past ``mdpv.sim.MAX_N`` points, or a run past the
+step budget, among them), an output path that cannot be written, or
+a stdout closed by its reader before the output was written; 2
+validity violation (excluded b, inadmissible or singular parameters,
+no admissible parameter draw at that b, a parameter map with no float
+value, unstable step); 3 a scan, system check or corrected kernel
+branch failed; 4 numerical blow-up.
 The seed defaults to 42; the environment variable MDPV_SEED overrides
-the default and ``--seed`` overrides both.
+the default and ``--seed`` overrides both.  A flag takes a negative
+number in any form as its value: ``--b -0.5,3`` reads as ``--b=-0.5,3``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Mapping, Sequence
 
@@ -48,8 +51,8 @@ from .catalog import (
     family_ids, is_valid, method_tag, verify_family,
 )
 from .expr import EvalError, ExprError, evaluate, free_symbols, parse
-from .residual import SCAN_N, SCAN_TOL, SCAN_WINDOW, ResidualReport, \
-    classic_eq, modified_eq, ode_residual, require_valid_b, scan
+from .residual import SCAN_N, SCAN_TOL, SCAN_WINDOW, VARIANTS, \
+    ResidualReport, ode_residual, require_valid_b, scan
 
 # mdpv.ansatz, mdpv.riccati and mdpv.sim are imported inside the
 # commands that call them, so that no other command loads them
@@ -370,9 +373,8 @@ def _verify_expression(args, seed: int) -> int:
     if stray:
         raise UsageError(f"--expr may use xi and b only;"
                          f" found {sorted(stray)}")
-    eq = modified_eq(args.b) if args.variant == "mdp" \
-        else classic_eq(args.b)
-    residual = ode_residual(profile, eq, args.speed)
+    residual = ode_residual(profile, VARIANTS[args.variant](args.b),
+                            args.speed)
     window = _parse_window(args.window)
     if "xi" in free_symbols(residual):
         report = scan(residual, {"b": args.b}, window=window, n=args.n,
@@ -523,14 +525,12 @@ def _system_rows(fid: str, system, b_values: list[float],
     """Evaluate the route's system at each parameter set of one family,
     all b values drawn from one `rng`: yields a check row and its text
     line per set."""
-    from .ansatz import family_system_env
+    from .ansatz import draw_aux, family_system_env
     for b in b_values:
         for i, params in enumerate(_resolve_param_sets(fid, b, provided,
                                                        rng, draws)):
-            aux = {"alpha": float(rng.uniform(0.5, 2.0))} \
-                if fid == "u11" else None
             try:
-                env = family_system_env(fid, b, params, aux)
+                env = family_system_env(fid, b, params, draw_aux(fid, rng))
             except (ValueError, OverflowError) as exc:
                 # a radicand that rounds below zero, or a power past
                 # float range: the map has no float value here
@@ -538,9 +538,6 @@ def _system_rows(fid: str, system, b_values: list[float],
                                     f" no float system values: {exc}"
                                     ) from None
             for key, delta in perturb.items():
-                if key not in env:
-                    raise UsageError(f"--perturb {key}: system unknowns"
-                                     f" are {sorted(env)}")
                 env[key] += delta
             max_abs = system.max_abs_at(env)
             scale = system.scale_at(env)
@@ -569,6 +566,10 @@ def cmd_system_verify(args) -> int:
     perturb = _parse_assignments(args.perturb, "--perturb")
 
     system = system_for_family(fid)
+    for key in perturb:
+        if key not in system.unknowns:
+            raise UsageError(f"--perturb {key}: system unknowns are"
+                             f" {sorted(system.unknowns)}")
     _print(f"{fid}: {len(system)} coefficient equations in"
            f" {system.variable} ({route} route,"
            f" {len(system.distinct)} distinct)")
@@ -750,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="explicit family parameter (repeatable; all or"
                         " none)")
-    p.add_argument("--variant", choices=("mdp", "dp"), default="mdp",
+    p.add_argument("--variant", choices=tuple(VARIANTS), default="mdp",
                    help="equation variant to scan against")
     p.add_argument("--expr", default=None, metavar="EXPR",
                    help="explicit profile U(xi) instead of a family")
@@ -822,10 +823,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a number in exponent or decimal form, or a comma list of them; `re`
+# compiles it on the first call that needs it, not at import
+_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_NUMBERS = rf"{_NUMBER}(?:,{_NUMBER})*"
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argparse takes a token that starts with '-' for an option unless
+    it is a plain negative integer or decimal, so `--b -0.5,3` and
+    `--speed -1e-3` would leave the flag without its value: join such a
+    token to the `--flag` before it, as `--flag=VALUE`."""
+    out: list[str] = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2
+                and "=" not in out[-1] and tok.startswith("-")
+                and re.fullmatch(_NUMBERS, tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(
+            sys.argv[1:] if argv is None else argv))
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -45,7 +45,7 @@ __all__ = [
     "exp", "log", "sqrt", "sin", "cos", "tan", "cot", "csc",
     "sinh", "cosh", "tanh",
     "parse", "format_expr", "evaluate", "evaluate_exact",
-    "diff", "substitute", "substitute_map", "simplify",
+    "diff", "substitute_map", "simplify",
     "free_symbols", "compile_fn", "pointwise_equal",
     "children", "postorder", "FUNCTIONS",
 ]
@@ -306,16 +306,6 @@ def sym(name: str) -> Sym:
     return Sym(name)
 
 
-def _as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, float, Fraction)):
-        return Const(v)
-    if isinstance(v, str):
-        return Sym(v)
-    raise TypeError(f"cannot coerce {v!r} to Expr")
-
-
 def _float(v: Number) -> float:
     """float(v), saturating an exact value beyond float range to +-inf."""
     try:
@@ -341,7 +331,7 @@ def add(*parts) -> Expr:
     terms: list[Expr] = []
     const: Number = Fraction(0)
     for p in parts:
-        e = _as_expr(p)
+        e = con(p)
         stack = [e]
         while stack:
             t = stack.pop()
@@ -363,7 +353,7 @@ def mul(*parts) -> Expr:
     factors: list[Expr] = []
     const: Number = Fraction(1)
     for p in parts:
-        e = _as_expr(p)
+        e = con(p)
         stack = [e]
         while stack:
             f = stack.pop()
@@ -386,8 +376,8 @@ _FOLD_POW_LIMIT = 16
 
 
 def pow_(base, exponent) -> Expr:
-    b = _as_expr(base)
-    e = _as_expr(exponent)
+    b = con(base)
+    e = con(exponent)
     if isinstance(e, Const) and e.is_rational:
         ev = e.value
         if ev == 0:
@@ -406,7 +396,7 @@ def pow_(base, exponent) -> Expr:
 
 
 def call(fn: str, arg) -> Expr:
-    return Call(fn, _as_expr(arg))
+    return Call(fn, con(arg))
 
 
 def exp(a):
@@ -949,15 +939,10 @@ def _diff_node(t: Expr, name: str, d: Mapping[Expr, Expr]) -> Expr:
 # ---------------------------------------------------------------------
 # substitution
 
-def substitute(e: Expr, s: Union[str, Sym], replacement) -> Expr:
-    """Replace every occurrence of a symbol (no binders, so replacement
-    is capture-free by construction)."""
-    return substitute_map(e, {s.name if isinstance(s, Sym) else s:
-                              replacement})
-
-
 def substitute_map(e: Expr, mapping: Mapping[str, object]) -> Expr:
-    repl = {k: _as_expr(v) for k, v in mapping.items()}
+    """Replace every occurrence of each mapped symbol, all at once (no
+    binders, so replacement is capture-free by construction)."""
+    repl = {k: con(v) for k, v in mapping.items()}
     memo: dict[Expr, Expr] = {}
     for t in postorder(e, memo):
         if isinstance(t, Sym):

@@ -27,7 +27,7 @@ from .expr import (
 __all__ = [
     "NotPolynomial", "Poly",
     "to_poly", "from_poly", "poly_add", "poly_mul", "poly_pow",
-    "poly_is_zero", "total_degree", "graded_lex_terms",
+    "graded_lex_terms",
     "normalize_primitive", "strip_monomial_gcd", "proportional",
 ]
 
@@ -123,16 +123,6 @@ def to_poly(e: Expr, variables: Sequence[str]) -> Poly:
             raise TypeError(type(t))
         memo[t] = r
     return memo[e]
-
-
-def poly_is_zero(p: Poly) -> bool:
-    return not p
-
-
-def total_degree(p: Poly) -> int:
-    if not p:
-        return -1
-    return max(sum(m) for m in p)
 
 
 def graded_lex_terms(p: Poly) -> list[tuple[tuple, Fraction]]:

@@ -27,11 +27,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    Add, Expr, compile_fn, con, diff, free_symbols, substitute, sym,
+    Add, Expr, compile_fn, con, diff, free_symbols, substitute_map, sym,
 )
 
 __all__ = [
-    "EquationVariant", "modified_eq", "classic_eq",
+    "EquationVariant", "modified_eq", "classic_eq", "VARIANTS",
     "pde_residual", "ode_residual", "traveling_profile",
     "ResidualReport", "scan", "find_zeros", "distinct_points",
 ]
@@ -56,7 +56,6 @@ class EquationVariant:
 
     b: Expr
     convection_power: int
-    label: str
 
     def __post_init__(self):
         if self.convection_power not in (1, 2):
@@ -65,12 +64,16 @@ class EquationVariant:
 
 def modified_eq(b) -> EquationVariant:
     """Cubic convection (p = 2)."""
-    return EquationVariant(con(b), 2, "mdp")
+    return EquationVariant(con(b), 2)
 
 
 def classic_eq(b) -> EquationVariant:
     """Quadratic convection (p = 1)."""
-    return EquationVariant(con(b), 1, "dp")
+    return EquationVariant(con(b), 1)
+
+
+# variant tag, as `verify --variant` spells it -> its equation of b
+VARIANTS = {"mdp": modified_eq, "dp": classic_eq}
 
 
 def require_valid_b(b: float) -> None:
@@ -108,7 +111,7 @@ def traveling_profile(U: Expr, lam) -> Expr:
     """Substitute xi = x + lam*t, turning a profile into a candidate
     solution of the evolution equation."""
     lam_e = con(lam)
-    return substitute(U, "xi", sym("x") + lam_e * sym("t"))
+    return substitute_map(U, {"xi": sym("x") + lam_e * sym("t")})
 
 
 @dataclass(frozen=True)

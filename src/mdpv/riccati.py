@@ -119,15 +119,10 @@ def _root_pos(v) -> Expr:
     return simplify(sqrt(con(v)))
 
 
-def solution(alpha: Coeff, beta: Coeff = None, gamma: Coeff = None,
-             ) -> RiccatiBranch:
+def solution(spec: RiccatiSpec) -> RiccatiBranch:
     """Verified closed-form branch for the coefficient triple: the
     circulated table entry, simplified, except in case 1 and in the
     four cases the table gets wrong or leaves out."""
-    if isinstance(alpha, RiccatiSpec):
-        spec = alpha
-    else:
-        spec = RiccatiSpec(alpha, beta, gamma)
     case = classify(spec)
     a, b, g = (con(v) for v in spec.triple())
     av, bv, gv = spec.triple()

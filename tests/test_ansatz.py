@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 
 from mdpv.ansatz import (
-    BALANCE_PAIRS, CHOSEN_DEGREE, CLEARING_POWER, AlgebraicSystem,
-    _quotient_step, balance_m, cole_hopf_build, cole_hopf_system,
-    family_system_env, laurent_residual, rational_hyperbolic_build,
-    rational_hyperbolic_system, system_for_family, tanh_coth_system,
+    BALANCE_PAIRS, CHOSEN_DEGREE, CLEARING_POWER, _SYSTEM_BUILDERS,
+    AlgebraicSystem, _quotient_step, balance_m, cole_hopf_build,
+    cole_hopf_system, draw_aux, family_system_env, laurent_residual,
+    rational_hyperbolic_build, rational_hyperbolic_system,
+    system_for_family, tanh_coth_system,
 )
-from mdpv.catalog import draw_params, family_ids, profile_with_values
+from mdpv.catalog import ROUTES, draw_params, family_ids, profile_with_values
 from mdpv import polytools as pt
 from mdpv.expr import (
     Sym, add, con, diff, evaluate, free_symbols, mul, parse, pointwise_equal,
@@ -60,7 +61,7 @@ def test_generic_laurent_span_matches_clearing_power():
 def test_constant_ansatz_residual_vanishes():
     # u = 2 under phi' = 1 - phi^2: every derivative of u is zero
     cleared = laurent_residual(2, 0, 0, 0, 0, 1, 0, -1, -1, 3)
-    assert pt.poly_is_zero(pt.to_poly(cleared, ("phi",)))
+    assert pt.to_poly(cleared, ("phi",)) == {}
 
 
 # ---------------------------------------------------------------------
@@ -99,11 +100,11 @@ def test_quotient_step_applies_the_operator(route):
 # sha256 of json.dumps(system.dump()): the coefficients `system-verify
 # --json` prints; a change here is a change of the regenerated systems
 _DUMP_DIGESTS = {
-    "colehopf":
+    "cole_hopf_system":
         "5f52e81b890c2c23a6587602c6ff65759c75c49995adb0c00e9b86ac6575e850",
-    "hyperbolic":
+    "rational_hyperbolic_system":
         "9b24d7c4b43a59942686d1301324abab8be92fed07de7bcd28085a2fe8bcdb4d",
-    "tanhcoth":
+    "tanh_coth_system":
         "93ea71fa22f846383f45e3d6bcd3c12c82b66b8b3a6f67ffcf1290e23e22b835",
 }
 
@@ -112,10 +113,9 @@ _DUMP_DIGESTS = {
     cole_hopf_system, rational_hyperbolic_system, tanh_coth_system,
 ])
 def test_frozen_system_digest(build):
-    S = build()
-    text = json.dumps(S.dump())
+    text = json.dumps(build().dump())
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        _DUMP_DIGESTS[S.method]
+        _DUMP_DIGESTS[build.__name__]
 
 
 def test_exponential_route_structure():
@@ -323,9 +323,7 @@ def test_seeded_annihilation(fid):
     for b in B_GRID:
         for _ in range(3):
             params = draw_params(fid, rng, b)
-            aux = {"alpha": float(rng.uniform(0.5, 2.0))} \
-                if fid == "u11" else None
-            env = family_system_env(fid, b, params, aux)
+            env = family_system_env(fid, b, params, draw_aux(fid, rng))
             assert S.holds_at(env), (fid, b, params, S.max_abs_at(env))
 
 
@@ -370,6 +368,22 @@ def test_unknown_family_rejected():
         family_system_env("u99", 1.0, {})
     with pytest.raises(KeyError):
         system_for_family("u0")
+
+
+def test_route_builders_are_the_catalog_routes():
+    # catalog.ROUTES spells the route names; the builders are keyed by them
+    assert set(_SYSTEM_BUILDERS) == set(ROUTES.values())
+    for fid in family_ids():
+        assert len(system_for_family(fid)) > 0
+
+
+def test_aux_draw_only_for_u11():
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    for fid in family_ids():
+        if fid != "u11":
+            assert draw_aux(fid, rng) is None
+    # no other family's draw moved the stream
+    assert draw_aux("u11", rng) == {"alpha": float(twin.uniform(0.5, 2.0))}
 
 
 # ---------------------------------------------------------------------

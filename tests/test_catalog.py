@@ -19,7 +19,7 @@ import pytest
 
 from mdpv import ansatz
 from mdpv.catalog import (
-    FAMILIES, catalog_manifest, draw_params, family, family_ids, is_valid,
+    catalog_manifest, draw_params, family, family_ids, is_valid,
     method_tag, printed_u10, profile_with_values, singular_points,
     speed_value, tanh_composite_profile, verify_family,
 )
@@ -31,7 +31,6 @@ B_GRID = (0.0, 0.5, 1.0, 3.0)
 
 def test_registry_complete_and_well_formed():
     assert family_ids() == [f"u{i}" for i in range(1, 24)]
-    assert set(FAMILIES) == set(family_ids())
     for fid in family_ids():
         fam = family(fid)
         assert free_symbols(fam.profile) <= {"xi"} | set(fam.parameters) \
@@ -42,12 +41,11 @@ def test_registry_complete_and_well_formed():
 
 
 def test_families_mapping_contract():
-    assert list(FAMILIES) == family_ids() and len(FAMILIES) == 23
+    # `family` and `family_ids` are the one way to the catalog by id
+    assert len(family_ids()) == 23
     for fid in family_ids():
-        assert FAMILIES[fid] is family(fid)
-        assert FAMILIES[fid].family_id == fid
-    with pytest.raises(KeyError, match="u1..u23"):
-        FAMILIES["u99"]
+        assert family(fid) is family(fid)
+        assert family(fid).family_id == fid
 
 
 def test_unknown_family_rejected():
@@ -307,6 +305,12 @@ def test_families_fail_under_quadratic_convection():
     assert not rep.passed
     rep = verify_family("u6", 3.0, {}, variant="dp")
     assert not rep.passed
+
+
+def test_unknown_variant_raises():
+    # a tag outside residual.VARIANTS names no equation to scan against
+    with pytest.raises(KeyError):
+        verify_family("u3", 3.0, {}, variant="xyz")
 
 
 # ---------------------------------------------------------------------

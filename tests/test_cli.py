@@ -6,8 +6,10 @@ stderr, and written files are all observable.  The exit-code contract
 and byte-level JSON determinism are the load-bearing assertions.
 """
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,6 +22,7 @@ from mdpv.cli import (
     MAX_SCAN_N, METHOD_CHOICES, SEED_ENV_VAR, main, render_json,
 )
 from mdpv.expr import evaluate, parse
+from mdpv.residual import VARIANTS
 from mdpv.sim import MAX_N
 
 
@@ -248,6 +251,56 @@ def test_perturbed_system_exits_3(capsys):
                                   "--perturb", "a0=1e-3"])
     assert rc == EXIT_FAIL
     assert "VIOLATED" in out
+
+
+def test_perturb_names_only_system_unknowns(capsys):
+    # b is the equation's parameter, not an unknown of the system: offset
+    # it and every check would fail for a reason the control never meant
+    rc, out, err = run_cli(capsys, ["system-verify", "--method", "tanhcoth",
+                                    "--family", "u20", "--perturb",
+                                    "b=1e-3"])
+    assert rc == EXIT_USAGE and out == ""
+    assert err.startswith("error: --perturb b:")
+    assert len(err.splitlines()) == 1
+    listed = re.findall(r"'(\w+)'", err)
+    assert sorted(listed) == ["a0", "a1", "a2", "alpha", "beta", "c1",
+                              "c2", "gamma", "lam"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--expr", "xi", "--b", "-1e3"],
+    ["verify", "--expr", "xi", "--b", "3", "--speed", "-1e-3"],
+    ["system-verify", "--method", "hyperbolic", "--family", "u3",
+     "--b", "-0.5,3"],
+    ["audit", "--b", "-3,3", "--draws", "1"],
+    ["verify", "--family", "u3", "--b", "3", "--window", "-5,5"],
+])
+def test_negative_value_is_the_flags_value(capsys, argv):
+    # argparse takes "-1e3" or "-0.5,3" for an option, not a value
+    i = next(i for i, tok in enumerate(argv) if tok.startswith("-")
+             and not tok.startswith("--"))
+    joined = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == run_cli(capsys, joined)[:2]
+    assert rc != EXIT_USAGE, err
+
+
+def test_u11_system_report_is_frozen(capsys):
+    # u11's free kernel coefficient is drawn after its parameter sets,
+    # from the same stream: the sha256 of the whole report pins where
+    rc, out, _err = run_cli(capsys, [
+        "system-verify", "--method", "tanhcoth", "--family", "u11",
+        "--b", "0,0.5,1,3,5", "--draws", "3", "--seed", "7", "--json"])
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "25bfeed91a3085929a2aa5d54b701c6fd85d26c1d71d406092ada873aac1513b"
+
+
+def test_variant_choices_are_the_residual_table(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    shown = re.search(r"--variant \{([\w,]+)\}", capsys.readouterr().out)
+    assert shown.group(1).split(",") == list(VARIANTS)
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -729,3 +782,50 @@ def test_closed_stdout_is_one_error_line(unbuffered):
     assert proc.returncode == EXIT_USAGE
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# ---------------------------------------------------------------------
+# whole commands under -W error, each in a fresh interpreter: each
+# command imports the layers it calls when it runs, so a warning from an
+# import, or from numpy on any value a check meets, shows only there
+
+@pytest.mark.parametrize("argv,code", [
+    (["simulate", "--family", "u6", "--T", "0.5", "--json", "sim.json"],
+     EXIT_OK),
+    (["simulate", "--family", "u6", "--scheme", "fd4", "--T", "0.2",
+      "--json", "sim.json"], EXIT_OK),
+    (["list", "--json", "l.json"], EXIT_OK),
+    (["riccati-audit", "--json", "r.json"], EXIT_OK),
+    # 1/xi solves no wave ODE, and a0 offset by 1e308 leaves a system
+    # residual past float range
+    (["verify", "--expr", "1/xi", "--b", "3", "--json", "v.json"],
+     EXIT_FAIL),
+    (["system-verify", "--method", "tanhcoth", "--family", "u20",
+      "--perturb", "a0=1e308", "--json", "s.json"], EXIT_FAIL),
+    # sqrt(-1) has no real value and 1/xi has a pole on the grid, even at
+    # a tolerance of 1e300; the constant profile b solves the ODE
+    (["verify", "--expr", "sqrt(-1)", "--b", "3"], EXIT_FAIL),
+    (["verify", "--expr", "b", "--b", "3"], EXIT_OK),
+    (["verify", "--expr", "1/xi", "--b", "3", "--tol", "1e300"],
+     EXIT_FAIL),
+    # a radicand 2e-14 below zero, and no admissible draw at b = 1e200,
+    # on both check paths; a blow-up threshold that is not positive
+    (["verify", "--family", "u7", "--b", "0", "--param",
+      "a2=0.99999999999999"], EXIT_INVALID),
+    (["verify", "--family", "u7", "--b", "1e200"], EXIT_INVALID),
+    (["system-verify", "--method", "hyperbolic", "--family", "u7", "--b",
+      "0", "--param", "a2=0.99999999999999"], EXIT_INVALID),
+    (["system-verify", "--method", "hyperbolic", "--family", "u7", "--b",
+      "1e200"], EXIT_INVALID),
+    (["simulate", "--family", "u6", "--blowup-threshold", "0"],
+     EXIT_USAGE),
+])
+def test_command_raises_no_warning(tmp_path, argv, code):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop(SEED_ENV_VAR, None)
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "mdpv.cli",
+                          *argv], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == code, out.stderr
+    assert "Warning" not in out.stderr and "Traceback" not in out.stderr

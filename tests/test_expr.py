@@ -25,7 +25,7 @@ from mdpv.expr import (
     Add, Call, Const, EvalError, ExactnessError, Mul, ParseError, Pow, Sym,
     compile_fn, cos, cosh, diff, evaluate, evaluate_exact, exp, format_expr,
     free_symbols, log, parse, pointwise_equal, simplify, sin, sqrt,
-    substitute, substitute_map, sym, tanh,
+    substitute_map, sym, tanh,
 )
 
 X = sym("x")
@@ -454,7 +454,7 @@ def test_simplify_is_deterministic():
 
 def test_substitute():
     e = parse("x^2 + y")
-    assert evaluate(substitute(e, "x", parse("z+1")),
+    assert evaluate(substitute_map(e, {"x": parse("z+1")}),
                     {"z": 1.0, "y": 2.0}) == 6.0
     m = substitute_map(e, {"x": 2, "y": Fraction(1, 2)})
     assert evaluate_exact(m, {}) == Fraction(9, 2)

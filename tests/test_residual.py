@@ -25,7 +25,8 @@ from mdpv.riccati import (
     AUDIT_SPECS, _measure as riccati_measure, solution as riccati_solution,
 )
 from mdpv.residual import (
-    EquationVariant, ResidualReport, classic_eq, find_zeros, modified_eq,
+    VARIANTS, EquationVariant, ResidualReport, classic_eq, find_zeros,
+    modified_eq,
     ode_residual, pde_residual, require_valid_b, scan, traveling_profile,
 )
 
@@ -130,12 +131,11 @@ def test_pde_residual_nontrivial_time_dependence():
 
 
 def test_variant_constructors():
-    eq = modified_eq(3)
-    assert eq.convection_power == 2 and eq.label == "mdp"
-    eq2 = classic_eq(0.5)
-    assert eq2.convection_power == 1 and eq2.label == "dp"
+    assert modified_eq(3).convection_power == 2
+    assert classic_eq(0.5).convection_power == 1
+    assert VARIANTS["mdp"] is modified_eq and VARIANTS["dp"] is classic_eq
     with pytest.raises(ValueError):
-        EquationVariant(sym("b"), 3, "x")
+        EquationVariant(sym("b"), 3)
 
 
 def test_require_valid_b():

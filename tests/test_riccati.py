@@ -69,18 +69,18 @@ def test_discriminant_exact_for_fractions():
 # hand-checked closed forms
 
 def test_case2_explicit_value():
-    br = solution(0, 0, 5)
+    br = solution(RiccatiSpec(0, 0, 5))
     assert evaluate(br.phi, {"xi": 0.4}) == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_case1_reduces_to_pure_exponential_when_gamma_zero():
-    br = solution(0, 2, 0)
+    br = solution(RiccatiSpec(0, 2, 0))
     assert br.case_id == "1"
     assert pointwise_equal(br.phi, parse("exp(2*xi)"), {"xi": (-2, 2)})
 
 
 def test_case3_gap_extension_is_linear():
-    br = solution(3, 0, 0)
+    br = solution(RiccatiSpec(3, 0, 0))
     assert br.case_id == "3" and not br.as_printed
     assert printed_solution(br.spec) is None
     assert pointwise_equal(br.phi, parse("3*xi"), {"xi": (-2, 2)})
@@ -89,18 +89,19 @@ def test_case3_gap_extension_is_linear():
 def test_case4_collapse_of_general_tan_tanh_forms():
     # the beta = 0 corners must agree with the beta != 0 cases' formulas
     # evaluated at beta = 0 (the repaired signs make this consistent)
-    br6 = solution(1, 0, 1)      # 4a; case-6 formula at beta=0
+    br6 = solution(RiccatiSpec(1, 0, 1))  # 4a; case-6 formula at beta=0
     general6 = parse("(sqrt(4*1*1)*tan(sqrt(4*1*1)*xi/2))/(2*1)")
     assert pointwise_equal(br6.phi, general6, {"xi": (-0.7, 0.7)})
 
-    br7 = solution(1, 0, -1)     # 4b; repaired case-7 formula at beta=0
+    # 4b; repaired case-7 formula at beta=0
+    br7 = solution(RiccatiSpec(1, 0, -1))
     # discriminant 0 - 4*1*(-1) = 4: -(0 + 2 tanh(xi)) / (2*(-1))
     general7 = parse("0 - (sqrt(4)*tanh(sqrt(4)*xi/2))/(2*(0-1))")
     assert pointwise_equal(br7.phi, general7, {"xi": (-2, 2)})
 
 
 def test_case5_equals_partial_fraction_form():
-    br = solution(1, 2, 1)
+    br = solution(RiccatiSpec(1, 2, 1))
     alt = parse("-2/(2*1) - 1/(1*xi)")  # -beta/(2 gamma) - 1/(gamma xi)
     assert pointwise_equal(br.phi, alt, {"xi": (0.1, 3)})
 
@@ -149,7 +150,7 @@ def test_random_rational_triples_verify(a, b, g):
 
 
 def test_float_coefficients_supported():
-    br = solution(0.3, 0.0, 0.7)
+    br = solution(RiccatiSpec(0.3, 0.0, 0.7))
     assert br.case_id == "4a"
     assert verify_branch(br).passed
 
@@ -211,7 +212,7 @@ def test_printed_and_corrected_differ_exactly_where_flagged():
 
 
 def test_residual_expression_is_zero_for_known_solution():
-    br = solution(0, 0, 5)
+    br = solution(RiccatiSpec(0, 0, 5))
     R = ode_residual_of(br.phi, br.spec)
     vals = [evaluate(R, {"xi": x}) for x in np.linspace(0.2, 3, 7)]
     assert max(abs(v) for v in vals) < 1e-12
