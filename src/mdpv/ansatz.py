@@ -113,12 +113,6 @@ class AlgebraicSystem:
                     scale = max(scale, v)
         return scale
 
-    def holds_at(self, env: dict[str, float], tol: float = 1e-10) -> bool:
-        """Zero test judged against the cancellation scale, the same
-        convention the residual scans use: large parameter values make
-        the monomials large, and roundoff grows with them."""
-        return self.max_abs_at(env) <= tol * (1.0 + self.scale_at(env))
-
     def holds_exactly(self, env: dict[str, Fraction]) -> bool:
         return all(evaluate_exact(eq, env) == 0 for eq in self.equations)
 

@@ -47,7 +47,6 @@ __all__ = [
     "profile_with_values", "speed_value", "is_valid", "singular_points",
     "verify_family", "draw_params", "method_tag", "catalog_manifest",
     "ROUTES", "printed_u10",
-    "tanh_composite_profile",
 ]
 
 XI = sym("xi")
@@ -297,35 +296,22 @@ def _tanh_sq(fid: str, sign: int) -> Family:
         _tanh_draw)
 
 
-def tanh_composite_profile(sign: int, tanh_sign: int = 1,
-                           inverse_term_sign: int = 1):
-    """u22/u23 structure, exposed for symmetry and corruption probes.
-
-    tanh_sign = -1 reflects the profile in xi; the wave equation is
-    invariant under xi -> -xi, so the reflection still solves it.
-    inverse_term_sign = -1 flips the first inverse-power coefficient
-    only -- a genuine corruption that must fail the residual scan."""
+def _tanh_composite(fid: str, sign: int) -> Family:
+    # u22/u23: tanh composite whose inverse-power terms carry a moving pole
     root = sqrt(_R_DELTA)
     sd = sqrt(_DELTA)
-    T = tanh_sign * tanh(sd * XI / 2)
     lam = (-B + sign * root - 1) / 2
     head = ((_DELTA + 12 * AL * GA) * (B + 2) - (B + 1) + sign * root) / \
         (2 * (B + 1))
-    denom = BE + sd * T
+    denom = BE + sd * tanh(sd * XI / 2)
     inv1 = -12 * (B + 2) * AL * BE * GA / ((B + 1) * denom)
     inv2 = 24 * (B + 2) * AL ** 2 * GA ** 2 / ((B + 1) * denom ** 2)
-    U = head + inverse_term_sign * inv1 + inv2
-    return U, lam, (denom,)
-
-
-def _tanh_composite(fid: str, sign: int) -> Family:
-    U, lam, denoms = tanh_composite_profile(sign)
     return _fam(
         fid, "tanh composite with moving pole, "
         f"{_sign_word(sign)}-root speed",
-        ("alpha", "beta", "gamma"), U, lam,
+        ("alpha", "beta", "gamma"), head + inv1 + inv2, lam,
         _tanh_constraints() + [_check("alpha*gamma != 0", AL * GA, NONZERO)],
-        denoms, lambda rng, b: _tanh_draw(rng, b, need_ag=True))
+        (denom,), lambda rng, b: _tanh_draw(rng, b, need_ag=True))
 
 
 def _tanh_draw(rng, b, need_ag: bool = False):

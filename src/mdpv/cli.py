@@ -18,19 +18,19 @@ carry 17 significant digits; a non-finite measured residual or scale
 is written as null.  CSV files use shortest round-trip floats.
 
 Exit codes: 0 all requested checks passed; 1 usage error (a NaN or
-infinite number, a negative seed, a ``--perturb`` name that is not one
-of the route's system unknowns, b among them, a ``--draws`` or
-``--n`` below 1 or past its budget, a ``--blowup-threshold`` that is
-not positive, a grid past ``mdpv.sim.MAX_N`` points, or a run past the
-step budget, among them), an output path that cannot be written, or
-a stdout closed by its reader before the output was written; 2
+infinite number, a negative seed or ``--tol``, a ``--perturb`` name
+that is not one of the route's system unknowns, b among them, a
+``--draws`` or ``--n`` below 1 or past its budget, a
+``--blowup-threshold`` that is not positive, a grid past
+``mdpv.sim.MAX_N`` points, or a run past the step budget, among them),
+an output path that cannot be written, or a stdout closed by its
+reader before the output was written; 2
 validity violation (excluded b, inadmissible or singular parameters,
 no admissible parameter draw at that b, a parameter map with no float
 value, unstable step); 3 a scan, system check or corrected kernel
 branch failed; 4 numerical blow-up.
-The seed defaults to 42; the environment variable MDPV_SEED overrides
-the default and ``--seed`` overrides both.  A flag takes a negative
-number in any form as its value: ``--b -0.5,3`` reads as ``--b=-0.5,3``.
+The seed defaults to 42.  A flag takes a negative number in any form as
+its value: ``--b -0.5,3`` reads as ``--b=-0.5,3``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .catalog import (
 )
 from .expr import EvalError, ExprError, evaluate, free_symbols, parse
 from .residual import SCAN_N, SCAN_TOL, SCAN_WINDOW, VARIANTS, \
-    ResidualReport, ode_residual, require_valid_b, scan
+    ResidualReport, ode_residual, require_valid_b, scan, within_tolerance
 
 # mdpv.ansatz, mdpv.riccati and mdpv.sim are imported inside the
 # commands that call them, so that no other command loads them
@@ -67,9 +67,6 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_FAIL = 3
 EXIT_BLOWUP = 4
-
-DEFAULT_SEED = 42
-SEED_ENV_VAR = "MDPV_SEED"
 
 METHOD_CHOICES = tuple(dict.fromkeys(ROUTES.values()))
 
@@ -197,25 +194,6 @@ def _json_outputs(args) -> list[str]:
 # ---------------------------------------------------------------------
 # flag parsing helpers
 
-def _resolve_seed(flag_value: int | None) -> int:
-    """The flag's seed, else MDPV_SEED's, else the default; numpy seeds
-    only from a non-negative integer."""
-    if flag_value is not None:
-        seed, source = flag_value, "--seed"
-    else:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is None or not env.strip():
-            return DEFAULT_SEED
-        try:
-            seed, source = int(env), SEED_ENV_VAR
-        except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer,"
-                             f" got {env!r}") from None
-    if seed < 0:
-        raise UsageError(f"{source} must be non-negative, got {seed}")
-    return seed
-
-
 def _finite_float(text: str) -> float:
     """argparse type of every float flag: NaN and inf are usage errors,
     not values a report could carry."""
@@ -229,23 +207,33 @@ def _finite_float(text: str) -> float:
     return v
 
 
-def _count(upper: int):
-    """argparse type of a count flag, 1 to `upper`: zero draws would
-    scan nothing and report a pass, a scan needs a point, and a count
-    past `upper` asks for a run with no useful end."""
-    def count(text: str) -> int:
+def _tolerance(text: str) -> float:
+    """argparse type of `--tol`: no check can pass a negative one."""
+    v = _finite_float(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"needs at least 0, got {v:g}")
+    return v
+
+
+def _integer(lower: int, upper: float = math.inf):
+    """argparse type of an integer flag, `lower` to `upper`.  numpy
+    seeds only from a non-negative integer; a count starts at 1, as zero
+    draws would scan nothing and report a pass and a scan needs a point,
+    and a count past its budget asks for a run with no useful end."""
+    def integer(text: str) -> int:
         try:
             v = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not an integer") from None
-        if v < 1:
-            raise argparse.ArgumentTypeError(f"needs at least 1, got {v}")
+        if v < lower:
+            raise argparse.ArgumentTypeError(
+                f"needs at least {lower}, got {v}")
         if v > upper:
             raise argparse.ArgumentTypeError(
                 f"needs at most {upper}, got {v}")
         return v
-    return count
+    return integer
 
 
 def _parse_assignments(pairs: list[str] | None, flag: str) -> dict[str, float]:
@@ -344,7 +332,6 @@ def _fail(message: str, code: int) -> int:
 
 def cmd_list(args) -> int:
     rows = catalog_manifest()
-    seed = _resolve_seed(args.seed)
     if args.json is None:
         _print(f"{'id':4} {'method':10} {'speed':26} parameters")
         for row in rows:
@@ -353,7 +340,7 @@ def cmd_list(args) -> int:
                    f" {row['wave_speed']:26} {pnames}")
         _print(f"{len(rows)} families")
     doc = {
-        "manifest": _manifest("list", seed, {"count": len(rows)},
+        "manifest": _manifest("list", args.seed, {"count": len(rows)},
                               _json_outputs(args)),
         "families": rows,
     }
@@ -364,7 +351,7 @@ def cmd_list(args) -> int:
 # ---------------------------------------------------------------------
 # verify
 
-def _verify_expression(args, seed: int) -> int:
+def _verify_expression(args) -> int:
     try:
         profile = parse(args.expr)
     except ExprError as exc:
@@ -391,7 +378,7 @@ def _verify_expression(args, seed: int) -> int:
             report = ResidualReport(value, 1, 0, args.tol, value)
     _print(report.line(f"expr[{args.expr}] b={args.b:g} {args.variant}"))
     doc = {
-        "manifest": _manifest("verify", seed, {
+        "manifest": _manifest("verify", args.seed, {
             "expr": args.expr,
             "speed": args.speed,
             "b": args.b,
@@ -424,12 +411,11 @@ def _scan_rows(fid: str, b: float, provided: dict[str, float],
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args.seed)
     _valid_b(args.b)
     if args.expr is not None:
         if args.family is not None:
             raise UsageError("--expr and --family are exclusive")
-        return _verify_expression(args, seed)
+        return _verify_expression(args)
 
     target = args.family or "all"
     fids = family_ids() if target == "all" else [_known_family(target)]
@@ -441,15 +427,16 @@ def cmd_verify(args) -> int:
     results = []
     for fid in fids:
         for row, line in _scan_rows(fid, args.b, provided,
-                                    _family_rng(seed, fid), args.draws,
-                                    window, args.n, args.tol, args.variant):
+                                    _family_rng(args.seed, fid),
+                                    args.draws, window, args.n, args.tol,
+                                    args.variant):
             _print(line)
             results.append(row)
     all_passed = all(row["passed"] for row in results)
     _print(f"{'all passed' if all_passed else 'FAILURES'}"
            f" ({len(results)} scans)")
     doc = {
-        "manifest": _manifest("verify", seed, {
+        "manifest": _manifest("verify", args.seed, {
             "family": target,
             "b": args.b,
             "variant": args.variant,
@@ -503,11 +490,10 @@ def _riccati_table() -> list[dict]:
 
 
 def cmd_riccati_audit(args) -> int:
-    seed = _resolve_seed(args.seed)
     rows = _riccati_table()
     corrected_ok = all(r["corrected_passes"] for r in rows)
     doc = {
-        "manifest": _manifest("riccati-audit", seed, {},
+        "manifest": _manifest("riccati-audit", args.seed, {},
                               _json_outputs(args)),
         "rows": rows,
         "all_corrected_pass": corrected_ok,
@@ -541,7 +527,7 @@ def _system_rows(fid: str, system, b_values: list[float],
                 env[key] += delta
             max_abs = system.max_abs_at(env)
             scale = system.scale_at(env)
-            passed = max_abs <= tol * (1.0 + scale)
+            passed = within_tolerance(max_abs, scale, tol)
             yield {
                 "b": b,
                 "params": params,
@@ -555,7 +541,6 @@ def _system_rows(fid: str, system, b_values: list[float],
 
 def cmd_system_verify(args) -> int:
     from .ansatz import system_for_family
-    seed = _resolve_seed(args.seed)
     fid = _known_family(args.family)
     route = method_tag(fid)
     if route != args.method:
@@ -575,14 +560,14 @@ def cmd_system_verify(args) -> int:
            f" {len(system.distinct)} distinct)")
     checks = []
     for row, line in _system_rows(fid, system, b_values, provided, perturb,
-                                  _family_rng(seed, fid), args.draws,
+                                  _family_rng(args.seed, fid), args.draws,
                                   args.tol):
         _print(line)
         checks.append(row)
     all_passed = all(row["passed"] for row in checks)
     _print("system annihilated" if all_passed else "system VIOLATED")
     doc = {
-        "manifest": _manifest("system-verify", seed, {
+        "manifest": _manifest("system-verify", args.seed, {
             "method": args.method,
             "family": fid,
             "b": b_values,
@@ -610,7 +595,6 @@ def cmd_system_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     from .ansatz import system_for_family
-    seed = _resolve_seed(args.seed)
     b_values = _parse_b_list(args.b)
     scans, systems, failures = [], [], 0
     for fid in family_ids():
@@ -618,10 +602,10 @@ def cmd_audit(args) -> int:
         # does; the system checks one stream across the b list, as
         # `system-verify --b LIST` does
         rows = [pair for b in b_values for pair in _scan_rows(
-            fid, b, {}, _family_rng(seed, fid), args.draws, SCAN_WINDOW,
-            SCAN_N, SCAN_TOL, "mdp")]
+            fid, b, {}, _family_rng(args.seed, fid), args.draws,
+            SCAN_WINDOW, SCAN_N, SCAN_TOL, "mdp")]
         checks = list(_system_rows(fid, system_for_family(fid), b_values,
-                                   {}, {}, _family_rng(seed, fid),
+                                   {}, {}, _family_rng(args.seed, fid),
                                    args.draws, SYSTEM_TOL))
         for row, line in rows + checks:
             if not row["passed"]:
@@ -639,7 +623,7 @@ def cmd_audit(args) -> int:
     failures += sum(not row["corrected_passes"] for row in riccati)
     _print("ALL CHECKS PASSED" if not failures else f"{failures} FAILURES")
     doc = {
-        "manifest": _manifest("audit", seed, {
+        "manifest": _manifest("audit", args.seed, {
             "b": b_values,
             "draws": args.draws,
             "variant": "mdp",
@@ -663,12 +647,11 @@ def cmd_audit(args) -> int:
 def cmd_simulate(args) -> int:
     from .sim import BlowUpError, Grid, InadmissibleFamilyError, \
         SimConfig, run, write_snapshots_csv
-    seed = _resolve_seed(args.seed)
     _valid_b(args.b)
     fid = _known_family(args.family)
     provided = _parse_assignments(args.param, "--param")
     params = _resolve_param_sets(fid, args.b, provided,
-                                 _family_rng(seed, fid), 1)[0]
+                                 _family_rng(args.seed, fid), 1)[0]
     instance = FamilyInstance(fid, args.b, params)
     try:
         grid = Grid(args.N, args.L)
@@ -698,7 +681,7 @@ def cmd_simulate(args) -> int:
             raise _unwritable(args.csv, exc) from None
         _print(f"snapshots -> {args.csv}")
     doc = {
-        "manifest": _manifest("simulate", seed, {
+        "manifest": _manifest("simulate", args.seed, {
             "family": fid,
             "b": args.b,
             "params": params,
@@ -720,9 +703,9 @@ def cmd_simulate(args) -> int:
 # wiring
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default {DEFAULT_SEED};"
-                        f" {SEED_ENV_VAR} overrides the default)")
+    p.add_argument("--seed", type=_integer(0), default=42,
+                   help="RNG seed, a non-negative integer"
+                        " (default %(default)s)")
     p.add_argument("--json", nargs="?", const="-", default=None,
                    metavar="PATH",
                    help="write the JSON report to PATH ('-' or bare"
@@ -759,9 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wave speed for --expr (default 0)")
     p.add_argument("--window", default="{:g},{:g}".format(*SCAN_WINDOW),
                    metavar="A,B")
-    p.add_argument("--n", type=_count(MAX_SCAN_N), default=SCAN_N)
-    p.add_argument("--tol", type=_finite_float, default=SCAN_TOL)
-    p.add_argument("--draws", type=_count(MAX_DRAWS), default=1,
+    p.add_argument("--n", type=_integer(1, MAX_SCAN_N), default=SCAN_N)
+    p.add_argument("--tol", type=_tolerance, default=SCAN_TOL)
+    p.add_argument("--draws", type=_integer(1, MAX_DRAWS), default=1,
                    help="seeded parameter draws per family (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -783,8 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", action="append", metavar="NAME=DELTA",
                    help="offset a system unknown after substitution"
                         " (negative control)")
-    p.add_argument("--draws", type=_count(MAX_DRAWS), default=DRAWS)
-    p.add_argument("--tol", type=_finite_float, default=SYSTEM_TOL)
+    p.add_argument("--draws", type=_integer(1, MAX_DRAWS), default=DRAWS)
+    p.add_argument("--tol", type=_tolerance, default=SYSTEM_TOL)
     _add_common(p)
     p.set_defaults(func=cmd_system_verify)
 
@@ -814,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
                             " at several b values")
     p.add_argument("--b", default=B_LIST, metavar="B1,B2,...",
                    help=f"comma-separated b values (default {B_LIST})")
-    p.add_argument("--draws", type=_count(MAX_DRAWS), default=DRAWS,
+    p.add_argument("--draws", type=_integer(1, MAX_DRAWS), default=DRAWS,
                    help=f"draws per family and b (default {DRAWS})")
     _add_common(p)
     p.set_defaults(func=cmd_audit)

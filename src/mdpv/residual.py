@@ -33,7 +33,8 @@ from .expr import (
 __all__ = [
     "EquationVariant", "modified_eq", "classic_eq", "VARIANTS",
     "pde_residual", "ode_residual", "traveling_profile",
-    "ResidualReport", "scan", "find_zeros", "distinct_points",
+    "within_tolerance", "ResidualReport", "scan", "find_zeros",
+    "distinct_points",
 ]
 
 # a scan's defaults: SCAN_N uniform points of SCAN_WINDOW, judged at
@@ -114,6 +115,13 @@ def traveling_profile(U: Expr, lam) -> Expr:
     return substitute_map(U, {"xi": sym("x") + lam_e * sym("t")})
 
 
+def within_tolerance(max_abs: float, scale: float, tol: float) -> bool:
+    """The pass rule of every check, residual scan and coefficient
+    system alike: a finite max |R| within tolerance of the cancellation
+    scale, max |R| <= tol * (1 + scale)."""
+    return math.isfinite(max_abs) and max_abs <= tol * (1.0 + scale)
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     max_abs_residual: float
@@ -124,10 +132,8 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        """A finite max |R| within tolerance of the cancellation scale:
-        max |R| <= tolerance * (1 + scale)."""
-        return math.isfinite(self.max_abs_residual) and \
-            self.max_abs_residual <= self.tolerance * (1.0 + self.scale)
+        return within_tolerance(self.max_abs_residual, self.scale,
+                                self.tolerance)
 
     def line(self, label: str) -> str:
         verdict = "pass" if self.passed else "FAIL"

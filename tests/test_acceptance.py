@@ -20,11 +20,12 @@ from mdpv.catalog import (
     FamilyInstance, draw_params, family, family_ids,
     profile_with_values, verify_family,
 )
-from mdpv.cli import main as cli_main
+from mdpv.cli import SYSTEM_TOL, main as cli_main
 from mdpv.expr import (
     EvalError, add, call, con, diff, evaluate, format_expr, mul, parse,
     pow_, sym,
 )
+from mdpv.residual import within_tolerance
 from mdpv.riccati import audit_printed_forms
 from mdpv.sim import Grid, SimConfig, run
 
@@ -128,7 +129,9 @@ def test_system_regeneration():
         for b in B_GRID:
             params = draw_params(fid, rng, b)
             env = family_system_env(fid, b, params)
-            assert system_for_family(fid).holds_at(env), (fid, b)
+            S = system_for_family(fid)
+            assert within_tolerance(S.max_abs_at(env), S.scale_at(env),
+                                    SYSTEM_TOL), (fid, b)
 
     # every quadratic-kernel family annihilates that route's system
     for fid in [f"u{i}" for i in range(11, 24)]:
@@ -138,7 +141,9 @@ def test_system_regeneration():
             aux = {"alpha": float(rng.uniform(0.5, 2.0))} \
                 if fid == "u11" else None
             env = family_system_env(fid, b, params, aux)
-            assert system_for_family(fid).holds_at(env), (fid, b)
+            S = system_for_family(fid)
+            assert within_tolerance(S.max_abs_at(env), S.scale_at(env),
+                                    SYSTEM_TOL), (fid, b)
     _verdict("regenerated coefficient systems",
              f"first circulated row regenerated; exponential families"
              f" max |eq| {worst_exp:.2e} <= 1e-10 at 40 points;"

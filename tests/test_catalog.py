@@ -21,7 +21,7 @@ from mdpv import ansatz
 from mdpv.catalog import (
     catalog_manifest, draw_params, family, family_ids, is_valid,
     method_tag, printed_u10, profile_with_values, singular_points,
-    speed_value, tanh_composite_profile, verify_family,
+    speed_value, verify_family,
 )
 from mdpv.expr import evaluate, free_symbols, parse, simplify, substitute_map
 from mdpv.residual import classic_eq, modified_eq, ode_residual, scan
@@ -271,30 +271,38 @@ def test_circulated_u10_rendering_fails_equation():
     assert rep_good.passed
 
 
-def _scan_composite(U, lam, denoms, params):
+COMPOSITE_PARAMS = {"alpha": 1.0, "beta": 0.8, "gamma": -0.1, "b": 1.0}
+
+
+def _scan_composite(U, denoms):
     from mdpv.residual import find_zeros
-    R = ode_residual(U, modified_eq(parse("b")), lam)
+    fam = family("u22")
+    R = ode_residual(U, modified_eq(parse("b")), fam.speed)
     excl = []
     for d in denoms:
-        excl.extend(find_zeros(d, "xi", (-8, 8), env=params))
-    return scan(R, params, exclusions=excl)
+        excl.extend(find_zeros(d, "xi", (-8, 8), env=COMPOSITE_PARAMS))
+    return scan(R, COMPOSITE_PARAMS, exclusions=excl)
 
 
 def test_reflected_composite_also_solves():
-    # the wave ODE is invariant under xi -> -xi, and flipping the tanh
-    # sign is exactly a reflection of the profile
-    U, lam, denoms = tanh_composite_profile(+1, tanh_sign=-1)
-    params = {"alpha": 1.0, "beta": 0.8, "gamma": -0.1, "b": 1.0}
-    assert _scan_composite(U, lam, denoms, params).passed
+    # the wave ODE is invariant under xi -> -xi
+    fam = family("u22")
+    reflect = {"xi": -parse("xi")}
+    U = substitute_map(fam.profile, reflect)
+    denoms = [substitute_map(d, reflect) for d in fam.singular_denoms]
+    assert _scan_composite(U, denoms).passed
 
 
 def test_corrupted_composite_fails_equation():
-    # flipping the 1/phi coefficient alone is a genuine corruption
-    U_bad, lam, denoms = tanh_composite_profile(+1, inverse_term_sign=-1)
-    params = {"alpha": 1.0, "beta": 0.8, "gamma": -0.1, "b": 1.0}
-    rep = scan_bad = _scan_composite(U_bad, lam, denoms, params)
-    assert not rep.passed, scan_bad
+    # flipping the sign of the 1/phi term alone is a genuine corruption
+    fam = family("u22")
+    inv1 = parse("-12*(b+2)*alpha*beta*gamma / ((b+1)*(beta"
+                 " + sqrt(beta^2 - 4*alpha*gamma)"
+                 " * tanh(sqrt(beta^2 - 4*alpha*gamma)*xi/2)))")
+    rep = _scan_composite(fam.profile - 2 * inv1, fam.singular_denoms)
+    assert not rep.passed, rep
     # the true composite passes at identical parameters
+    assert _scan_composite(fam.profile, fam.singular_denoms).passed
     rep_good = verify_family(
         "u22", 1.0, {"alpha": 1.0, "beta": 0.8, "gamma": -0.1})
     assert rep_good.passed

@@ -19,16 +19,11 @@ import pytest
 
 from mdpv.cli import (
     EXIT_BLOWUP, EXIT_FAIL, EXIT_INVALID, EXIT_OK, EXIT_USAGE, MAX_DRAWS,
-    MAX_SCAN_N, METHOD_CHOICES, SEED_ENV_VAR, main, render_json,
+    MAX_SCAN_N, METHOD_CHOICES, main, render_json,
 )
 from mdpv.expr import evaluate, parse
 from mdpv.residual import VARIANTS
 from mdpv.sim import MAX_N
-
-
-@pytest.fixture(autouse=True)
-def _isolate_seed_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 def run_cli(capsys, argv):
@@ -120,21 +115,16 @@ def test_render_json_rejects_nonfinite():
     ["verify", "--family", "u1", "--b", "3", "--seed", "-1"],
     # a threshold that is not positive would end a healthy run at once
     ["simulate", "--family", "u6", "--blowup-threshold", "0", "--json"],
+    # no check can pass a negative tolerance
+    ["verify", "--family", "u3", "--b", "3", "--tol", "-1"],
+    ["verify", "--expr", "b", "--b", "3", "--tol=-1e-3", "--json"],
+    ["system-verify", "--method", "hyperbolic", "--family", "u3",
+     "--tol=-1"],
 ])
 def test_usage_errors(capsys, argv):
     rc, _out, err = run_cli(capsys, argv)
     assert rc == EXIT_USAGE
     assert err.startswith("error:") and len(err.splitlines()) == 1
-
-
-def test_bad_seed_env(capsys, monkeypatch):
-    # numpy seeds only from a non-negative integer
-    for value in ("not-a-number", "-5"):
-        monkeypatch.setenv(SEED_ENV_VAR, value)
-        rc, _out, err = run_cli(capsys, ["verify", "--family", "u3",
-                                         "--b", "3"])
-        assert rc == EXIT_USAGE, value
-        assert SEED_ENV_VAR in err and len(err.splitlines()) == 1, value
 
 
 def test_deeply_nested_expr_is_a_usage_error(capsys):
@@ -334,12 +324,20 @@ def test_variant_choices_are_the_residual_table(capsys):
     (["verify", "--family", "u7", "--b", "0", "--param",
       "a2=0.99999999999999"], EXIT_INVALID),
     (["verify", "--family", "u7", "--b", "1e200"], EXIT_INVALID),
+    # a system residual past float range fails at any tolerance, even
+    # one whose tol * (1 + scale) is itself infinite
+    (["system-verify", "--method", "hyperbolic", "--family", "u3", "--b",
+      "1e307", "--tol", "1e300"], EXIT_FAIL),
 ])
 def test_every_exit_code_with_json(capsys, argv, code):
     rc, out, err = run_cli(capsys, argv + ["--json"])
     assert rc == code
     if code in (EXIT_OK, EXIT_FAIL):
-        json.loads(out[out.index("{"):])
+        doc = json.loads(out[out.index("{"):])
+        if argv[0] == "system-verify" and code == EXIT_FAIL:
+            # both such rows fail on a residual past float range
+            assert doc["checks"][0]["max_abs"] is None
+            assert doc["checks"][0]["passed"] is False
     else:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
@@ -427,17 +425,22 @@ def test_verify_json_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_seed_resolution(capsys, monkeypatch):
+def test_seed_resolution(capsys):
     _rc, doc, _out, _err = run_json(capsys, ["verify", "--family", "u3",
                                              "--b", "3"])
     assert doc["manifest"]["seed"] == 42
-    monkeypatch.setenv(SEED_ENV_VAR, "7")
-    _rc, doc, _out, _err = run_json(capsys, ["verify", "--family", "u3",
-                                             "--b", "3"])
-    assert doc["manifest"]["seed"] == 7
     _rc, doc, _out, _err = run_json(capsys, ["verify", "--family", "u3",
                                              "--b", "3", "--seed", "11"])
     assert doc["manifest"]["seed"] == 11
+
+
+def test_seed_comes_only_from_the_flag(capsys, monkeypatch):
+    argv = ["verify", "--family", "u20", "--b", "3"]
+    _rc, _doc, plain, _err = run_json(capsys, argv)
+    monkeypatch.setenv("MDPV_SEED", "7")
+    _rc, doc, out, _err = run_json(capsys, argv)
+    assert doc["manifest"]["seed"] == 42
+    assert out == plain
 
 
 def test_seed_changes_draws(capsys):
@@ -819,11 +822,14 @@ def test_closed_stdout_is_one_error_line(unbuffered):
       "1e200"], EXIT_INVALID),
     (["simulate", "--family", "u6", "--blowup-threshold", "0"],
      EXIT_USAGE),
+    # a system residual past float range, judged at a tolerance whose
+    # tol * (1 + scale) overflows
+    (["system-verify", "--method", "hyperbolic", "--family", "u3", "--b",
+      "1e307", "--tol", "1e300"], EXIT_FAIL),
 ])
 def test_command_raises_no_warning(tmp_path, argv, code):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop(SEED_ENV_VAR, None)
     out = subprocess.run([sys.executable, "-W", "error", "-m", "mdpv.cli",
                           *argv], env=env, cwd=tmp_path,
                          capture_output=True, text=True, timeout=120)

@@ -2,6 +2,7 @@
 fresh interpreter, so that they cannot rot unseen."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,15 @@ def test_convergence_study_runs(tmp_path):
                      cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert "linf" in out.stdout
+    # the domain sweep runs boxes of one dx that the admissibility guard
+    # accepts (a refused box ends the script), and its error falls with L
+    rows = re.findall(r"L = (\S+), N = (\d+) +linf (\S+)",
+                      out.stdout.split("== domain length")[1])
+    assert len(rows) >= 2
+    assert len({float(length) / int(n) for length, n, _ in rows}) == 1
+    errors = [float(e) for _, _, e in rows]
+    assert errors == sorted(errors, reverse=True)
+    assert len(set(errors)) == len(errors)
 
 
 def test_profile_gallery_writes_csv(tmp_path):

@@ -86,7 +86,7 @@ def test_state_mass_and_checks():
 @pytest.mark.parametrize("kw", [
     dict(b=-1.0), dict(b=-2.0), dict(dt=-1e-3), dict(t_final=-1.0),
     dict(scheme="fd2"), dict(snapshots=1), dict(blowup_threshold=0),
-    dict(blowup_threshold=-1.0), dict(tail_tol=0.0),
+    dict(blowup_threshold=-1.0),
 ])
 def test_config_rejects_bad_fields(kw):
     base = dict(b=3.0, dt=1e-3, t_final=1.0)
