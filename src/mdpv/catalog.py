@@ -44,9 +44,9 @@ from .residual import (
 
 __all__ = [
     "Family", "FamilyInstance", "family", "family_ids",
-    "profile_with_values", "speed_value", "is_valid", "singular_points",
-    "verify_family", "draw_params", "method_tag", "catalog_manifest",
-    "ROUTES", "printed_u10",
+    "profile_with_values", "speed_value", "is_valid", "require_parameters",
+    "singular_points", "verify_family", "draw_params", "method_tag",
+    "catalog_manifest", "ROUTES", "printed_u10",
 ]
 
 XI = sym("xi")
@@ -386,14 +386,19 @@ def family(fid: str) -> Family:
 # ---------------------------------------------------------------------
 # numeric services
 
-def _env(fid: str, b: float, params: Mapping[str, float]) -> dict:
-    fam = family(fid)
-    missing = [p for p in fam.parameters if p not in params]
-    extra = [p for p in params if p not in fam.parameters]
+def require_parameters(fid: str, params: Mapping[str, float]) -> None:
+    """Raise ValueError unless `params` names the family's parameters."""
+    names = family(fid).parameters
+    missing = [p for p in names if p not in params]
+    extra = [p for p in params if p not in names]
     if missing or extra:
-        raise ValueError(f"{fid} needs parameters {list(fam.parameters)}:"
+        raise ValueError(f"{fid} needs parameters {list(names)}:"
                          f" missing {missing}, does not take {extra}")
-    env = {p: float(params[p]) for p in fam.parameters}
+
+
+def _env(fid: str, b: float, params: Mapping[str, float]) -> dict:
+    require_parameters(fid, params)
+    env = {p: float(params[p]) for p in family(fid).parameters}
     env["b"] = float(b)
     return env
 

@@ -17,18 +17,17 @@ byte-identical documents.  JSON keys appear in fixed order and floats
 carry 17 significant digits; a non-finite measured residual or scale
 is written as null.  CSV files use shortest round-trip floats.
 
-Exit codes: 0 all requested checks passed; 1 usage error (a NaN or
-infinite number, a negative seed or ``--tol``, a ``--perturb`` name
-that is not one of the route's system unknowns, b among them, a
-``--draws`` or ``--n`` below 1 or past its budget, a
-``--blowup-threshold`` that is not positive, a grid past
-``mdpv.sim.MAX_N`` points, or a run past the step budget, among them),
-an output path that cannot be written, or a stdout closed by its
-reader before the output was written; 2
-validity violation (excluded b, inadmissible or singular parameters,
-no admissible parameter draw at that b, a parameter map with no float
-value, unstable step); 3 a scan, system check or corrected kernel
-branch failed; 4 numerical blow-up.
+Exit codes: 0 all requested checks passed; 1 usage error (a flag its
+argparse type refuses, such as a NaN or infinite number or a count
+past its budget; a flag the command refuses, such as a ``--perturb``
+name that is not a system unknown or a run past the step budget; an
+output path that cannot be written, or a stdout closed by its reader
+before the output was written); 2 validity violation (excluded b,
+inadmissible or singular parameters, no admissible parameter draw at
+that b, a parameter map with no float value, unstable step); 3 a
+scan, system check or corrected kernel branch failed; 4 numerical
+blow-up.  A usage error is reported before any validity error, bar
+the snapshot budget, which ``simulate`` checks at run start.
 The seed defaults to 42.  A flag takes a negative number in any form as
 its value: ``--b -0.5,3`` reads as ``--b=-0.5,3``.
 """
@@ -48,7 +47,7 @@ import numpy as np
 from . import __version__
 from .catalog import (
     ROUTES, FamilyInstance, catalog_manifest, draw_params, family,
-    family_ids, is_valid, method_tag, verify_family,
+    family_ids, is_valid, method_tag, require_parameters, verify_family,
 )
 from .expr import EvalError, ExprError, evaluate, free_symbols, parse
 from .residual import SCAN_N, SCAN_TOL, SCAN_WINDOW, VARIANTS, \
@@ -236,58 +235,58 @@ def _integer(lower: int, upper: float = math.inf):
     return integer
 
 
-def _parse_assignments(pairs: list[str] | None, flag: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for item in pairs or ():
-        name, sep, value = item.partition("=")
-        name = name.strip()
-        if not sep or not name:
-            raise UsageError(f"{flag} expects name=value, got {item!r}")
-        try:
-            out[name] = _finite_float(value)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"{flag} {name}: {exc}") from None
-    return out
+def _assignment(text: str) -> tuple[str, float]:
+    """argparse type of `--param` and `--perturb`: one name=value."""
+    name, sep, value = text.partition("=")
+    name = name.strip()
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expects name=value, got {text!r}")
+    return name, _finite_float(value)
 
 
-def _parse_window(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"--window expects 'a,b', got {text!r}")
+def _window(text: str) -> tuple[float, float]:
+    """argparse type of `--window`: 'a,b' with finite a < b."""
+    ends = tuple(_finite_float(v) for v in text.split(","))
+    if len(ends) != 2 or not ends[0] < ends[1]:
+        raise argparse.ArgumentTypeError(f"expects 'a,b' with a < b,"
+                                         f" got {text!r}")
+    return ends
+
+
+def _b_list(text: str) -> list[float]:
+    """argparse type of a `--b` list: comma-separated finite numbers."""
+    b_values = [_finite_float(v) for v in text.split(",") if v.strip()]
+    if not b_values:
+        raise argparse.ArgumentTypeError("lists no values")
+    return b_values
+
+
+def _family_id(text: str) -> str:
+    """argparse type of `--family`: `method_tag` checks the id unbuilt."""
     try:
-        lo, hi = _finite_float(parts[0]), _finite_float(parts[1])
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"--window expects finite numbers: {exc}") from None
-    if not lo < hi:
-        raise UsageError(f"--window needs a < b, got {text!r}")
-    return lo, hi
+        method_tag(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
 
 
-def _valid_b(b: float) -> float:
+def _valid_b(*b_values: float) -> None:
     try:
-        require_valid_b(b)
+        for b in b_values:
+            require_valid_b(b)
     except ValueError as exc:
         raise ValidityError(str(exc)) from None
-    return b
 
 
-def _parse_b_list(text: str) -> list[float]:
-    try:
-        b_values = [_finite_float(v) for v in text.split(",") if v.strip()]
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"--b expects comma-separated finite numbers:"
-                         f" {exc}") from None
-    if not b_values:
-        raise UsageError("--b lists no values")
-    return [_valid_b(b) for b in b_values]
-
-
-def _known_family(fid: str) -> str:
-    try:
-        family(fid)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
-    return fid
+def _provided(fid: str, pairs) -> dict[str, float]:
+    """The `--param` values, which must name all or none of fid's."""
+    provided = dict(pairs or ())
+    if provided:
+        try:
+            require_parameters(fid, provided)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    return provided
 
 
 def _family_rng(seed: int, fid: str) -> np.random.Generator:
@@ -297,15 +296,11 @@ def _family_rng(seed: int, fid: str) -> np.random.Generator:
 def _resolve_param_sets(fid: str, b: float, provided: dict[str, float],
                         rng: np.random.Generator, draws: int
                         ) -> list[dict[str, float]]:
-    """Explicit values must cover the family's parameters exactly and
-    be admissible; otherwise draw `draws` admissible sets from `rng`
-    (one run if there is nothing to draw)."""
+    """The explicit values, if admissible (`_provided` checked their
+    names); else `draws` admissible sets from `rng`, or one empty set."""
     names = family(fid).parameters
     if provided:
-        try:
-            ok, bad = is_valid(fid, b, provided)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        ok, bad = is_valid(fid, b, provided)
         if not ok:
             raise ValidityError(f"{fid} parameters violate:"
                                 f" {', '.join(bad)}")
@@ -360,11 +355,11 @@ def _verify_expression(args) -> int:
     if stray:
         raise UsageError(f"--expr may use xi and b only;"
                          f" found {sorted(stray)}")
+    _valid_b(args.b)
     residual = ode_residual(profile, VARIANTS[args.variant](args.b),
                             args.speed)
-    window = _parse_window(args.window)
     if "xi" in free_symbols(residual):
-        report = scan(residual, {"b": args.b}, window=window, n=args.n,
+        report = scan(residual, {"b": args.b}, window=args.window, n=args.n,
                       tol=args.tol)
     else:
         # constant profiles collapse the residual to a single number
@@ -383,7 +378,7 @@ def _verify_expression(args) -> int:
             "speed": args.speed,
             "b": args.b,
             "variant": args.variant,
-            "window": list(window),
+            "window": list(args.window),
             "n": args.n,
             "tol": args.tol,
         }, _json_outputs(args)),
@@ -411,25 +406,21 @@ def _scan_rows(fid: str, b: float, provided: dict[str, float],
 
 
 def cmd_verify(args) -> int:
-    _valid_b(args.b)
     if args.expr is not None:
-        if args.family is not None:
-            raise UsageError("--expr and --family are exclusive")
         return _verify_expression(args)
 
     target = args.family or "all"
-    fids = family_ids() if target == "all" else [_known_family(target)]
-    provided = _parse_assignments(args.param, "--param")
-    if provided and len(fids) > 1:
+    if args.param and target == "all":
         raise UsageError("--param requires a single --family")
-    window = _parse_window(args.window)
+    provided = _provided(target, args.param)
+    _valid_b(args.b)
 
     results = []
-    for fid in fids:
+    for fid in family_ids() if target == "all" else [target]:
         for row, line in _scan_rows(fid, args.b, provided,
                                     _family_rng(args.seed, fid),
-                                    args.draws, window, args.n, args.tol,
-                                    args.variant):
+                                    args.draws, args.window, args.n,
+                                    args.tol, args.variant):
             _print(line)
             results.append(row)
     all_passed = all(row["passed"] for row in results)
@@ -441,7 +432,7 @@ def cmd_verify(args) -> int:
             "b": args.b,
             "variant": args.variant,
             "params": provided,
-            "window": list(window),
+            "window": list(args.window),
             "n": args.n,
             "tol": args.tol,
             "draws": args.draws,
@@ -541,25 +532,24 @@ def _system_rows(fid: str, system, b_values: list[float],
 
 def cmd_system_verify(args) -> int:
     from .ansatz import system_for_family
-    fid = _known_family(args.family)
+    fid = args.family
     route = method_tag(fid)
     if route != args.method:
         raise UsageError(f"{fid} was produced by the '{route}' route,"
                          f" not '{args.method}'")
-    b_values = _parse_b_list(args.b)
-    provided = _parse_assignments(args.param, "--param")
-    perturb = _parse_assignments(args.perturb, "--perturb")
-
+    provided = _provided(fid, args.param)
+    perturb = dict(args.perturb or ())
     system = system_for_family(fid)
     for key in perturb:
         if key not in system.unknowns:
             raise UsageError(f"--perturb {key}: system unknowns are"
                              f" {sorted(system.unknowns)}")
+    _valid_b(*args.b)
     _print(f"{fid}: {len(system)} coefficient equations in"
            f" {system.variable} ({route} route,"
            f" {len(system.distinct)} distinct)")
     checks = []
-    for row, line in _system_rows(fid, system, b_values, provided, perturb,
+    for row, line in _system_rows(fid, system, args.b, provided, perturb,
                                   _family_rng(args.seed, fid), args.draws,
                                   args.tol):
         _print(line)
@@ -570,7 +560,7 @@ def cmd_system_verify(args) -> int:
         "manifest": _manifest("system-verify", args.seed, {
             "method": args.method,
             "family": fid,
-            "b": b_values,
+            "b": args.b,
             "draws": args.draws,
             "tol": args.tol,
             "params": provided,
@@ -595,16 +585,16 @@ def cmd_system_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     from .ansatz import system_for_family
-    b_values = _parse_b_list(args.b)
+    _valid_b(*args.b)
     scans, systems, failures = [], [], 0
     for fid in family_ids():
         # the scans draw a fresh stream per (family, b), as `verify --b B`
         # does; the system checks one stream across the b list, as
         # `system-verify --b LIST` does
-        rows = [pair for b in b_values for pair in _scan_rows(
+        rows = [pair for b in args.b for pair in _scan_rows(
             fid, b, {}, _family_rng(args.seed, fid), args.draws,
             SCAN_WINDOW, SCAN_N, SCAN_TOL, "mdp")]
-        checks = list(_system_rows(fid, system_for_family(fid), b_values,
+        checks = list(_system_rows(fid, system_for_family(fid), args.b,
                                    {}, {}, _family_rng(args.seed, fid),
                                    args.draws, SYSTEM_TOL))
         for row, line in rows + checks:
@@ -624,7 +614,7 @@ def cmd_audit(args) -> int:
     _print("ALL CHECKS PASSED" if not failures else f"{failures} FAILURES")
     doc = {
         "manifest": _manifest("audit", args.seed, {
-            "b": b_values,
+            "b": args.b,
             "draws": args.draws,
             "variant": "mdp",
             "window": list(SCAN_WINDOW),
@@ -647,28 +637,23 @@ def cmd_audit(args) -> int:
 def cmd_simulate(args) -> int:
     from .sim import BlowUpError, Grid, InadmissibleFamilyError, \
         SimConfig, run, write_snapshots_csv
-    _valid_b(args.b)
-    fid = _known_family(args.family)
-    provided = _parse_assignments(args.param, "--param")
-    params = _resolve_param_sets(fid, args.b, provided,
-                                 _family_rng(args.seed, fid), 1)[0]
-    instance = FamilyInstance(fid, args.b, params)
+    fid = args.family
+    provided = _provided(fid, args.param)
     try:
         grid = Grid(args.N, args.L)
         config = SimConfig(b=args.b, dt=args.dt, t_final=args.T,
                            scheme=args.scheme, snapshots=args.snapshots,
                            blowup_threshold=args.blowup_threshold)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    try:
-        report = run(instance, config, grid)
+        params = _resolve_param_sets(fid, args.b, provided,
+                                     _family_rng(args.seed, fid), 1)[0]
+        report = run(FamilyInstance(fid, args.b, params), config, grid)
     except InadmissibleFamilyError as exc:
         raise ValidityError(str(exc)) from None
     except BlowUpError as exc:
         return _fail(f"blow-up at t = {exc.t:g} (peak {exc.peak:.3e})",
                      EXIT_BLOWUP)
     except ValueError as exc:
-        # horizon/step mismatch, step or snapshot budget: a flag problem
+        # the grid, the time axis or the snapshot budget: a flag problem
         raise UsageError(str(exc)) from None
     summary = report.summary()
     for key, value in summary.items():
@@ -727,20 +712,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="residual scans of families or"
                                       " an explicit profile")
-    p.add_argument("--family", default=None,
-                   help="family id u1..u23 or 'all' (default: all)")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--family", default=None,
+                        type=lambda t: t if t == "all" else _family_id(t),
+                        help="family id u1..u23 or 'all' (default: all)")
+    target.add_argument("--expr", default=None, metavar="EXPR",
+                        help="explicit profile U(xi) instead of a family")
     p.add_argument("--b", type=_finite_float, required=True,
                    help="equation parameter (b not in {-1, -2})")
-    p.add_argument("--param", action="append", metavar="NAME=VALUE",
+    p.add_argument("--param", type=_assignment, action="append",
+                   metavar="NAME=VALUE",
                    help="explicit family parameter (repeatable; all or"
                         " none)")
     p.add_argument("--variant", choices=tuple(VARIANTS), default="mdp",
                    help="equation variant to scan against")
-    p.add_argument("--expr", default=None, metavar="EXPR",
-                   help="explicit profile U(xi) instead of a family")
     p.add_argument("--speed", type=_finite_float, default=0.0,
                    help="wave speed for --expr (default 0)")
-    p.add_argument("--window", default="{:g},{:g}".format(*SCAN_WINDOW),
+    p.add_argument("--window", type=_window, default=SCAN_WINDOW,
                    metavar="A,B")
     p.add_argument("--n", type=_integer(1, MAX_SCAN_N), default=SCAN_N)
     p.add_argument("--tol", type=_tolerance, default=SCAN_TOL)
@@ -758,12 +746,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coefficient-system annihilation for one"
                             " family")
     p.add_argument("--method", choices=METHOD_CHOICES, required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--b", default=B_LIST, metavar="B1,B2,...",
+    p.add_argument("--family", type=_family_id, required=True)
+    p.add_argument("--b", type=_b_list, default=B_LIST, metavar="B1,B2,...",
                    help=f"comma-separated b values (default {B_LIST})")
-    p.add_argument("--param", action="append", metavar="NAME=VALUE",
+    p.add_argument("--param", type=_assignment, action="append",
+                   metavar="NAME=VALUE",
                    help="explicit family parameter (repeatable)")
-    p.add_argument("--perturb", action="append", metavar="NAME=DELTA",
+    p.add_argument("--perturb", type=_assignment, action="append",
+                   metavar="NAME=DELTA",
                    help="offset a system unknown after substitution"
                         " (negative control)")
     p.add_argument("--draws", type=_integer(1, MAX_DRAWS), default=DRAWS)
@@ -773,9 +763,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate",
                        help="manufactured-solution integration run")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", type=_family_id, required=True)
     p.add_argument("--b", type=_finite_float, default=3.0)
-    p.add_argument("--param", action="append", metavar="NAME=VALUE")
+    p.add_argument("--param", type=_assignment, action="append",
+                   metavar="NAME=VALUE")
     p.add_argument("--N", type=int, default=512, help="grid points")
     p.add_argument("--L", type=_finite_float, default=40.0,
                    help="domain length")
@@ -795,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit",
                        help="every scan, system check and kernel branch"
                             " at several b values")
-    p.add_argument("--b", default=B_LIST, metavar="B1,B2,...",
+    p.add_argument("--b", type=_b_list, default=B_LIST, metavar="B1,B2,...",
                    help=f"comma-separated b values (default {B_LIST})")
     p.add_argument("--draws", type=_integer(1, MAX_DRAWS), default=DRAWS,
                    help=f"draws per family and b (default {DRAWS})")

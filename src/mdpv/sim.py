@@ -23,9 +23,9 @@ together, builds the flux from products, and makes one forward call
 followed by a multiply by the symbol of d/dx and the Helmholtz inverse,
 so two transform calls per stage.  Only the step's increment returns
 to the grid.
-Step and snapshot budgets and a step-size guard are checked at run
-start, and a blow-up sentinel, which also catches a stage that
-overflows, every step.
+A run's time axis is checked when its SimConfig is made, the snapshot
+budget and a step-size guard at run start, and a blow-up sentinel,
+which also catches a stage that overflows, every step.
 A run integrates a catalog instance as a manufactured solution: it
 reports the final sup-norm error against the exact translated profile,
 the relative drift of the conserved mean, and the wave speed measured
@@ -83,10 +83,10 @@ class BlowUpError(RuntimeError):
 
 
 class InadmissibleFamilyError(ValueError):
-    """The requested run cannot be simulated as set up: the instance's
-    profile is singular on the swept interval, its tails have not
-    flattened at the domain edge, or dt exceeds the step-size guard for
-    its initial state."""
+    """The requested run cannot be simulated as set up: b is excluded,
+    the instance's profile is singular on the swept interval, its tails
+    have not flattened at the domain edge, or dt exceeds the step-size
+    guard for its initial state."""
 
 
 # ---------------------------------------------------------------------
@@ -145,11 +145,13 @@ class SimConfig:
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
-        require_valid_b(self.b)
-        if self.dt < 0:
-            raise ValueError("dt must be nonnegative")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+        # bounded before it is rounded: past float range it has no integer
+        if not (0.5 < self.t_final / self.dt <= MAX_STEPS and abs(
+                self.n_steps * self.dt - self.t_final) <= 1e-9 * self.dt):
+            raise ValueError(f"t_final must be 1 to {MAX_STEPS} whole"
+                             f" steps of dt")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme '{self.scheme}' "
                              f"(expected one of {SCHEMES})")
@@ -157,6 +159,15 @@ class SimConfig:
             raise ValueError("need at least two snapshots (first, last)")
         if not self.blowup_threshold > 0:
             raise ValueError("blowup_threshold must be positive")
+        # last: an excluded b is no flag slip but an inadmissible run
+        try:
+            require_valid_b(self.b)
+        except ValueError as exc:
+            raise InadmissibleFamilyError(str(exc)) from None
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_final / self.dt))
 
 
 def cfl_limit(u0: np.ndarray, grid: Grid) -> float:
@@ -380,12 +391,10 @@ class SimReport:
         }
 
 
-def _admissibility_check(inst: FamilyInstance, cfg: SimConfig,
-                         grid: Grid, lam: float, t_end: float,
-                         profile_fn) -> float:
+def _admissibility_check(inst: FamilyInstance, grid: Grid, lam: float,
+                         t_end: float, profile_fn) -> float:
     """Reject singular or non-decayed instances; returns the estimated
-    far-field constant.  `cfg` is unused, and stays in the signature the
-    benchmark's tracing wraps."""
+    far-field constant."""
     pad = 1.0
     xi_lo = -0.5 * grid.length + min(0.0, lam * t_end) - pad
     xi_hi = 0.5 * grid.length + max(0.0, lam * t_end) + pad
@@ -417,15 +426,9 @@ def _admissibility_check(inst: FamilyInstance, cfg: SimConfig,
 def run(inst: FamilyInstance, cfg: SimConfig, grid: Grid) -> SimReport:
     """Integrate a catalog instance to cfg.t_final and compare against
     its exact translate."""
-    if cfg.dt <= 0:
-        raise ValueError("a run needs dt > 0")
-    if cfg.t_final / cfg.dt > MAX_STEPS:
-        raise ValueError(f"t_final / dt asks for more than {MAX_STEPS}"
-                         f" steps")
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * cfg.dt:
-        raise ValueError("t_final must be a positive integer multiple "
-                         "of dt")
+    if inst.b != cfg.b:
+        raise ValueError(f"instance b = {inst.b:g} is not cfg.b = {cfg.b:g}")
+    n_steps = cfg.n_steps
     # a spacing of at most one step already hits every step, so more
     # points than steps add nothing but memory
     n_snaps = min(cfg.snapshots, n_steps + 1)
@@ -437,7 +440,7 @@ def run(inst: FamilyInstance, cfg: SimConfig, grid: Grid) -> SimReport:
 
     lam = inst.speed()
     profile_fn = compile_fn(inst.profile(), ["xi"])
-    u_inf = _admissibility_check(inst, cfg, grid, lam, t_end, profile_fn)
+    u_inf = _admissibility_check(inst, grid, lam, t_end, profile_fn)
 
     x = grid.nodes()
     u0 = np.asarray(profile_fn(x), dtype=float)

@@ -13,8 +13,8 @@ import numpy as np
 
 import mdpv.polytools as pt
 from mdpv.ansatz import (
-    CHOSEN_DEGREE, balance_m, cole_hopf_system, family_system_env,
-    system_for_family,
+    CHOSEN_DEGREE, balance_m, cole_hopf_system, draw_aux,
+    family_system_env, system_for_family,
 )
 from mdpv.catalog import (
     FamilyInstance, draw_params, family, family_ids,
@@ -138,9 +138,7 @@ def test_system_regeneration():
         rng = np.random.default_rng([4, int(fid[1:])])
         for b in B_GRID:
             params = draw_params(fid, rng, b)
-            aux = {"alpha": float(rng.uniform(0.5, 2.0))} \
-                if fid == "u11" else None
-            env = family_system_env(fid, b, params, aux)
+            env = family_system_env(fid, b, params, draw_aux(fid, rng))
             S = system_for_family(fid)
             assert within_tolerance(S.max_abs_at(env), S.scale_at(env),
                                     SYSTEM_TOL), (fid, b)

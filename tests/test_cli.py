@@ -127,6 +127,37 @@ def test_usage_errors(capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # a flag its argparse type refuses
+    ["verify", "--b", "-1", "--family", "u99"],
+    ["verify", "--b", "-1", "--window", "8,-8", "--family", "u3"],
+    ["simulate", "--family", "u99", "--b", "-1"],
+    # a check the command makes, with the catalog or another flag
+    ["system-verify", "--method", "hyperbolic", "--family", "u3",
+     "--b", "-1", "--perturb", "zz=1"],
+    ["system-verify", "--method", "colehopf", "--family", "u1",
+     "--b", "0,-1", "--param", "zz=1"],
+    ["verify", "--family", "all", "--b", "-1", "--param", "mu=1"],
+    ["verify", "--family", "u1", "--b", "-1", "--param", "zz=1"],
+    ["verify", "--expr", "xi + q", "--b", "-1"],
+    ["simulate", "--family", "u6", "--b", "-1", "--param", "zz=1"],
+    ["simulate", "--family", "u6", "--b", "-1", "--dt", "0"],
+])
+def test_usage_error_comes_before_validity_error(capsys, argv):
+    # each argv also has an excluded b, alone an exit 2
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("target", ["u3", "all"])
+def test_expr_and_family_are_exclusive(capsys, target):
+    rc, out, err = run_cli(capsys, ["verify", "--expr", "xi", "--family",
+                                    target, "--b", "3"])
+    assert rc == EXIT_USAGE and out == ""
+    assert "not allowed with" in err and len(err.splitlines()) == 1
+
+
 def test_deeply_nested_expr_is_a_usage_error(capsys):
     deep = "exp(" * 20_000 + "xi" + ")" * 20_000
     rc, _out, err = run_cli(capsys, ["verify", "--expr", deep, "--b", "3"])

@@ -87,6 +87,8 @@ def test_state_mass_and_checks():
     dict(b=-1.0), dict(b=-2.0), dict(dt=-1e-3), dict(t_final=-1.0),
     dict(scheme="fd2"), dict(snapshots=1), dict(blowup_threshold=0),
     dict(blowup_threshold=-1.0),
+    # the time axis: a positive dt, a whole number of steps, the budget
+    dict(dt=0.0), dict(t_final=0.0015), dict(dt=1e-9),
 ])
 def test_config_rejects_bad_fields(kw):
     base = dict(b=3.0, dt=1e-3, t_final=1.0)
@@ -337,13 +339,12 @@ def test_batched_steps_equal_the_unbatched_reference(scheme, n):
 # time stepping
 
 def test_step_identity_at_zero_dt():
+    # only the increment returns to the grid, so a zero step gives back
+    # u bitwise; a run's configuration has dt > 0, so _rk4 takes it here
     g = Grid(128, 20.0)
     u0 = _profile_fn(_u6())(g.nodes())
-    s = SimState.of(0.0, u0, g)
-    cfg = SimConfig(b=3.0, dt=0.0, t_final=0.0)
-    s2 = step_rk4(s, cfg, g)
-    assert np.array_equal(s2.u, s.u)
-    assert s2.t == 0.0
+    cfg = SimConfig(b=3.0, dt=1e-3, t_final=1.0)
+    assert np.array_equal(_rk4(u0, 0.0, cfg, g), u0)
 
 
 def test_step_constant_state_unchanged():
@@ -509,6 +510,14 @@ def test_run_rejects_mismatched_horizon():
             Grid(256, 40.0))
     with pytest.raises(ValueError):
         run(_u6(), SimConfig(b=3.0, dt=0.0, t_final=1.0),
+            Grid(256, 40.0))
+
+
+def test_run_rejects_instance_at_another_b():
+    # the run would integrate at the configuration's b and score against
+    # the wave at the instance's b
+    with pytest.raises(ValueError, match="b = 3"):
+        run(_u6(), SimConfig(b=2.0, dt=1e-3, t_final=0.2),
             Grid(256, 40.0))
 
 
