@@ -2,10 +2,10 @@
 """Export wave profiles of all 23 families as a single tidy CSV.
 
 One row per (family, xi) sample: family id, wave speed, parameter
-values, xi, u.  Samples inside the exclusion radius of a pole are
-written with an empty u field so downstream plotting shows the gap
-instead of a spike.  Parameters are drawn with the given seed where a
-family has free ones.
+values, xi, u.  Samples within mdpv.residual.EXCLUSION_RADIUS of a
+pole, the points a residual scan skips, are written with an empty u
+field so downstream plotting shows the gap instead of a spike.
+Parameters are drawn with the given seed where a family has free ones.
 
 Usage:
     python3 scripts/profile_gallery.py [--b 3] [--seed 42] \
@@ -17,10 +17,9 @@ import sys
 
 import numpy as np
 
-from mdpv.catalog import (
-    FamilyInstance, draw_params, family, family_ids,
-)
+from mdpv.catalog import FamilyInstance, draw_params, family_ids
 from mdpv.expr import evaluate
+from mdpv.residual import EXCLUSION_RADIUS
 
 
 def main(argv=None) -> int:
@@ -37,15 +36,14 @@ def main(argv=None) -> int:
     lines = ["family,speed,params,xi,u"]
     for fid in family_ids():
         rng = np.random.default_rng([args.seed, int(fid[1:])])
-        params = draw_params(fid, rng, args.b) \
-            if family(fid).parameters else {}
+        params = draw_params(fid, rng, args.b)
         instance = FamilyInstance(fid, args.b, params)
         profile = instance.profile()
         speed = instance.speed()
         poles = instance.singularities((lo - 1.0, hi + 1.0))
         shown = ";".join(f"{k}={v!r}" for k, v in params.items())
         for x in xs:
-            if any(abs(x - p) < 0.1 for p in poles):
+            if any(abs(x - p) <= EXCLUSION_RADIUS for p in poles):
                 u_text = ""
             else:
                 u_text = repr(evaluate(profile, {"xi": float(x)}))

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Add, ExactnessError, Expr, Sym, _exact_root, add, con, cosh, diff,
-    evaluate, evaluate_exact, exp, format_expr, log, mul, pow_, sinh,
+    Add, ExactnessError, Expr, Sym, add, con, cosh, diff, evaluate,
+    evaluate_exact, exp, format_expr, log, mul, pow_, sinh, sqrt,
 )
 from . import polytools as pt
 from .catalog import method_tag
@@ -343,7 +343,7 @@ def _sqrt_checked(v, what: str):
     if isinstance(v, Fraction):
         # keep perfect squares exact so rational maps stay rational
         try:
-            return _exact_root(v, 2)
+            return evaluate_exact(sqrt(con(v)), {})
         except ExactnessError:
             pass
     return math.sqrt(v)

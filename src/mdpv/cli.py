@@ -26,8 +26,7 @@ before the output was written); 2 validity violation (excluded b,
 inadmissible or singular parameters, no admissible parameter draw at
 that b, a parameter map with no float value, unstable step); 3 a
 scan, system check or corrected kernel branch failed; 4 numerical
-blow-up.  A usage error is reported before any validity error, bar
-the snapshot budget, which ``simulate`` checks at run start.
+blow-up.  A usage error is reported before any validity error.
 The seed defaults to 42.  A flag takes a negative number in any form as
 its value: ``--b -0.5,3`` reads as ``--b=-0.5,3``.
 """
@@ -636,7 +635,7 @@ def cmd_audit(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .sim import BlowUpError, Grid, InadmissibleFamilyError, \
-        SimConfig, run, write_snapshots_csv
+        SimConfig, run, snapshot_steps, write_snapshots_csv
     fid = args.family
     provided = _provided(fid, args.param)
     try:
@@ -644,6 +643,8 @@ def cmd_simulate(args) -> int:
         config = SimConfig(b=args.b, dt=args.dt, t_final=args.T,
                            scheme=args.scheme, snapshots=args.snapshots,
                            blowup_threshold=args.blowup_threshold)
+        snapshot_steps(config, grid)
+        _valid_b(args.b)
         params = _resolve_param_sets(fid, args.b, provided,
                                      _family_rng(args.seed, fid), 1)[0]
         report = run(FamilyInstance(fid, args.b, params), config, grid)

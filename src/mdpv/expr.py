@@ -1,11 +1,12 @@
 """Small immutable symbolic expression kernel.
 
 Nodes: exact rational / float constants, symbols, n-ary sums and products,
-powers, and the unary functions exp, log, sqrt, sin, cos, tan, cot, csc,
-sinh, cosh, tanh.  Supported operations: parsing, precedence-aware
-formatting, float evaluation, exact rational evaluation (where possible),
-symbolic differentiation, substitution, and local simplification
-(constant folding, flattening, like-term/like-factor collection).
+powers, and calls of the unary functions in `FUNCTIONS` (exp, log, sqrt,
+sin, cos, tan, cot, csc, sinh, cosh, tanh), one table record each.
+Supported operations: parsing, precedence-aware formatting, float
+evaluation, exact rational evaluation (where possible), symbolic
+differentiation, substitution, and local simplification (constant
+folding, flattening, like-term/like-factor collection).
 
 Simplification is deliberately local: it never applies trig identities or
 expands products, and it never converts an exact rational constant into a
@@ -33,7 +34,8 @@ import math
 import weakref
 from fractions import Fraction
 from typing import (
-    Callable, Container, Iterable, Iterator, Mapping, Sequence, Union,
+    Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence,
+    Union,
 )
 
 import numpy as np
@@ -51,11 +53,6 @@ __all__ = [
 ]
 
 Number = Union[int, float, Fraction]
-
-FUNCTIONS = (
-    "exp", "log", "sqrt", "sin", "cos", "tan", "cot", "csc",
-    "sinh", "cosh", "tanh",
-)
 
 
 class ExprError(Exception):
@@ -242,7 +239,7 @@ class Call(Expr):
     __slots__ = ("fn", "arg")
 
     def __new__(cls, fn: str, arg: Expr):
-        if fn not in FUNCTIONS:
+        if fn not in _FUNCTION_TABLE:
             raise ValueError(f"unknown function {fn!r}")
         return _interned((cls, fn, arg), fn, arg)
 
@@ -444,6 +441,68 @@ def tanh(a):
 
 
 # ---------------------------------------------------------------------
+# the function table: one record per unary function, which every
+# reader of a Call looks up by name
+
+class _Function(NamedTuple):
+    value: Callable[[float], float]        # ValueError off the domain
+    numpy: str                             # applied to the operand {0}
+    deriv: Callable[[Expr, Expr], Expr]    # df/da, given t = f(a) and a
+    exact: Callable[[Fraction], Fraction]  # ExactnessError if irrational
+
+
+def _sin_off_pole(x: float) -> float:
+    # sin(x) as the denominator of cot and csc: ValueError at their poles
+    s = math.sin(x)
+    if s == 0.0:
+        raise ValueError("pole")
+    return s
+
+
+def _rational_at(points: dict[int, int]) -> Callable[[Fraction], Fraction]:
+    # a transcendental function is irrational at every rational argument
+    # but the keys of `points`, which maps each to its value (Lindemann)
+    def exact(a: Fraction) -> Fraction:
+        if a not in points:
+            raise ExactnessError(f"no rational value at {a}")
+        return Fraction(points[a])
+
+    return exact
+
+
+_FUNCTION_TABLE: dict[str, _Function] = {
+    "exp": _Function(math.exp, "np.exp({0})", lambda t, a: t,
+                     _rational_at({0: 1})),
+    "log": _Function(math.log, "np.log({0})", lambda t, a: pow_(a, -1),
+                     _rational_at({1: 0})),
+    "sqrt": _Function(math.sqrt, "np.sqrt({0})",
+                      lambda t, a: mul(HALF, pow_(t, -1)),
+                      lambda a: _exact_root(a, 2)),
+    "sin": _Function(math.sin, "np.sin({0})", lambda t, a: cos(a),
+                     _rational_at({0: 0})),
+    "cos": _Function(math.cos, "np.cos({0})", lambda t, a: mul(-1, sin(a)),
+                     _rational_at({0: 1})),
+    "tan": _Function(math.tan, "np.tan({0})",
+                     lambda t, a: add(1, pow_(t, 2)), _rational_at({0: 0})),
+    "cot": _Function(lambda x: math.cos(x) / _sin_off_pole(x),
+                     "np.cos({0}) / np.sin({0})",
+                     lambda t, a: mul(-1, add(1, pow_(t, 2))),
+                     _rational_at({})),
+    "csc": _Function(lambda x: 1.0 / _sin_off_pole(x), "1.0 / np.sin({0})",
+                     lambda t, a: mul(-1, t, cot(a)), _rational_at({})),
+    "sinh": _Function(math.sinh, "np.sinh({0})", lambda t, a: cosh(a),
+                      _rational_at({0: 0})),
+    "cosh": _Function(math.cosh, "np.cosh({0})", lambda t, a: sinh(a),
+                      _rational_at({0: 1})),
+    "tanh": _Function(math.tanh, "np.tanh({0})",
+                      lambda t, a: add(1, mul(-1, pow_(t, 2))),
+                      _rational_at({0: 0})),
+}
+
+FUNCTIONS = tuple(_FUNCTION_TABLE)
+
+
+# ---------------------------------------------------------------------
 # parsing
 
 _WS = " \t\r\n"
@@ -566,7 +625,7 @@ class _Parser:
             return Const(Fraction(value))
         if kind == "ident":
             if self.peek()[0] == "(":
-                if value not in FUNCTIONS:
+                if value not in _FUNCTION_TABLE:
                     raise ParseError(f"unknown function {value!r}", offset)
                 self.next()
                 arg = self.sum_()
@@ -711,27 +770,11 @@ def format_expr(e: Expr) -> str:
 # ---------------------------------------------------------------------
 # evaluation
 
-def _cot(x: float) -> float:
-    return math.cos(x) / math.sin(x)
-
-
-def _csc(x: float) -> float:
-    return 1.0 / math.sin(x)
-
-
-_MATH_FN: dict[str, Callable[[float], float]] = {
-    "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "cot": _cot, "csc": _csc,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-}
-
-
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate to a float.  Unbound symbols and domain violations
-    (log of a nonpositive value, sqrt of a negative, division by zero)
-    raise EvalError naming the offending subexpression; overflow saturates
-    to inf and non-finite values propagate."""
+    """Evaluate to a float.  Unbound symbols and domain violations (a
+    function off its domain at a real point, division by zero) raise
+    EvalError naming the offending subexpression; overflow saturates to
+    inf and non-finite values propagate."""
     if isinstance(e, Const):
         return _float(e.value)
     if isinstance(e, Sym):
@@ -774,24 +817,16 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
             return math.inf
     if isinstance(e, Call):
         a = evaluate(e.arg, env)
-        if not math.isfinite(a):
-            # non-finite values propagate; domain checks need a real point
-            try:
-                return _MATH_FN[e.fn](a)
-            except (ValueError, OverflowError):
-                return math.nan
-        if e.fn == "log" and a <= 0.0:
-            raise EvalError("log of a nonpositive value", e)
-        if e.fn == "sqrt" and a < 0.0:
-            raise EvalError("sqrt of a negative value", e)
-        if e.fn in ("cot", "csc") and math.sin(a) == 0.0:
-            raise EvalError("pole of " + e.fn, e)
         try:
-            return _MATH_FN[e.fn](a)
+            return _FUNCTION_TABLE[e.fn].value(a)
         except OverflowError:
             return math.inf
         except ValueError:
-            raise EvalError(f"domain error in {e.fn}", e) from None
+            # off the domain: an error at a real point, while a
+            # non-finite argument propagates as nan
+            if math.isfinite(a):
+                raise EvalError(f"{e.fn} off its domain", e) from None
+            return math.nan
     raise TypeError(type(e))
 
 
@@ -823,17 +858,10 @@ def _exact_root(v: Fraction, q: int) -> Fraction:
     return Fraction(iroot(v.numerator), iroot(v.denominator))
 
 
-_EXACT_CALL_AT_ZERO = {
-    "exp": Fraction(1), "sin": Fraction(0), "cos": Fraction(1),
-    "tan": Fraction(0), "sinh": Fraction(0), "cosh": Fraction(1),
-    "tanh": Fraction(0),
-}
-
-
 def evaluate_exact(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
     """Evaluate over the rationals.  Raises ExactnessError whenever the
-    value is not provably rational (transcendental function at a nonzero
-    argument, non-perfect-square radicand, float constant)."""
+    value is not provably rational (a float constant, or a function at
+    an argument where its table record has no exact value)."""
     if isinstance(e, Const):
         if not e.is_rational:
             raise ExactnessError("float constant")
@@ -864,35 +892,12 @@ def evaluate_exact(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
         root = _exact_root(b, x.denominator)
         return root ** x.numerator
     if isinstance(e, Call):
-        a = evaluate_exact(e.arg, env)
-        if e.fn == "sqrt":
-            return _exact_root(a, 2)
-        if a == 0 and e.fn in _EXACT_CALL_AT_ZERO:
-            return _EXACT_CALL_AT_ZERO[e.fn]
-        if e.fn == "log" and a == 1:
-            return Fraction(0)
-        raise ExactnessError(f"{e.fn} at a nonzero rational")
+        return _FUNCTION_TABLE[e.fn].exact(evaluate_exact(e.arg, env))
     raise TypeError(type(e))
 
 
 # ---------------------------------------------------------------------
 # differentiation
-
-# derivative of f(a) with respect to a, given the node t = f(a) and a
-_CALL_DERIV: dict[str, Callable[[Expr, Expr], Expr]] = {
-    "exp": lambda t, a: t,
-    "log": lambda t, a: pow_(a, -1),
-    "sqrt": lambda t, a: mul(HALF, pow_(t, -1)),
-    "sin": lambda t, a: cos(a),
-    "cos": lambda t, a: mul(-1, sin(a)),
-    "tan": lambda t, a: add(1, pow_(t, 2)),
-    "cot": lambda t, a: mul(-1, add(1, pow_(t, 2))),
-    "csc": lambda t, a: mul(-1, t, cot(a)),
-    "sinh": lambda t, a: cosh(a),
-    "cosh": lambda t, a: sinh(a),
-    "tanh": lambda t, a: add(1, mul(-1, pow_(t, 2))),
-}
-
 
 def diff(e: Expr, s: Union[str, Sym]) -> Expr:
     """Exact symbolic derivative with respect to one symbol."""
@@ -932,7 +937,7 @@ def _diff_node(t: Expr, name: str, d: Mapping[Expr, Expr]) -> Expr:
         da = d[t.arg]
         if da is ZERO:
             return ZERO
-        return mul(_CALL_DERIV[t.fn](t, t.arg), da)
+        return mul(_FUNCTION_TABLE[t.fn].deriv(t, t.arg), da)
     raise TypeError(type(t))
 
 
@@ -1007,8 +1012,8 @@ def _fold_constant(t: Expr) -> Expr:
     except ExactnessError:
         if isinstance(t, Call) and not t.arg.is_rational:
             try:
-                return Const(_MATH_FN[t.fn](t.arg.value))
-            except (ValueError, ZeroDivisionError, OverflowError):
+                return Const(_FUNCTION_TABLE[t.fn].value(t.arg.value))
+            except (ValueError, OverflowError):
                 pass
         return t
 
@@ -1155,14 +1160,6 @@ def _flat_mul(items: Iterable[Expr]):
 # ---------------------------------------------------------------------
 # compiled vectorized evaluation
 
-# the numpy source of each function, applied to the operand {0}
-_NP_FN = {
-    "exp": "np.exp({0})", "log": "np.log({0})", "sqrt": "np.sqrt({0})",
-    "sin": "np.sin({0})", "cos": "np.cos({0})", "tan": "np.tan({0})",
-    "cot": "np.cos({0}) / np.sin({0})", "csc": "1.0 / np.sin({0})",
-    "sinh": "np.sinh({0})", "cosh": "np.cosh({0})", "tanh": "np.tanh({0})",
-}
-
 # operands per emitted line of a long sum or product
 _FOLD_CHUNK = 64
 
@@ -1245,7 +1242,8 @@ def _compile(e: Expr | tuple[Expr, ...],
                 else:
                     emit(f"{ref} = {b} ** ({names[ex]})")
             elif isinstance(node, Call):
-                emit(f"{ref} = " + _NP_FN[node.fn].format(names[node.arg]))
+                numpy = _FUNCTION_TABLE[node.fn].numpy
+                emit(f"{ref} = " + numpy.format(names[node.arg]))
             else:
                 raise TypeError(type(node))
         names[node] = ref

@@ -30,7 +30,7 @@ from .expr import (
     Expr, compile_fn, con, cos, diff, exp, simplify, sinh, sqrt, sym, tan,
     tanh,
 )
-from .residual import ResidualReport, find_zeros
+from .residual import EXCLUSION_RADIUS, ResidualReport, find_zeros
 
 __all__ = [
     "RiccatiSpec", "RiccatiBranch", "classify", "solution",
@@ -41,10 +41,9 @@ __all__ = [
 XI = sym("xi")
 
 # branches are checked at seeded points of WINDOW, each more than
-# POLE_MARGIN from every pole the branch declares; the printed-form
+# EXCLUSION_RADIUS from every pole the branch declares; the printed-form
 # audit draws AUDIT_POINTS of them with AUDIT_SEED
 WINDOW = (-5.0, 5.0)
-POLE_MARGIN = 0.1
 AUDIT_POINTS, AUDIT_SEED = 40, 3
 
 Coeff = Union[int, float, Fraction]
@@ -217,7 +216,7 @@ def _admissible_points(branch_poles, n, seed) -> np.ndarray:
         if attempts > 200 * n:
             raise RuntimeError("window too crowded with poles")
         x = float(rng.uniform(*WINDOW))
-        if all(abs(x - p) > POLE_MARGIN for p in poles):
+        if all(abs(x - p) > EXCLUSION_RADIUS for p in poles):
             pts.append(x)
     return np.array(pts)
 

@@ -24,8 +24,8 @@ followed by a multiply by the symbol of d/dx and the Helmholtz inverse,
 so two transform calls per stage.  Only the step's increment returns
 to the grid.
 A run's time axis is checked when its SimConfig is made, the snapshot
-budget and a step-size guard at run start, and a blow-up sentinel,
-which also catches a stage that overflows, every step.
+budget by `snapshot_steps`, a step-size guard at run start, and a
+blow-up sentinel, which also catches a stage that overflows, every step.
 A run integrates a catalog instance as a manufactured solution: it
 reports the final sup-norm error against the exact translated profile,
 the relative drift of the conserved mean, and the wave speed measured
@@ -41,13 +41,12 @@ import numpy as np
 
 from .catalog import FamilyInstance
 from .expr import compile_fn
-from .residual import require_valid_b
 
 __all__ = [
     "Grid", "SimState", "SimConfig", "Snapshot", "SimReport",
     "BlowUpError", "InadmissibleFamilyError", "SCHEMES",
     "helmholtz_solve", "flux_divergence", "rhs", "step_rk4", "run",
-    "cfl_limit", "write_snapshots_csv", "MAX_STEPS", "MAX_N",
+    "snapshot_steps", "cfl_limit", "write_snapshots_csv", "MAX_STEPS", "MAX_N",
     "MAX_SNAPSHOT_POINTS", "TAIL_TOL",
 ]
 
@@ -63,9 +62,9 @@ MAX_STEPS = 1_000_000
 MAX_N = 65_536
 
 # snapshot budget of one run, in stored grid points (snapshots times N),
-# checked before any work: each point keeps two floats, so the budget is
-# 16 MB; the largest request of the examples, tests and benchmark is
-# 5 snapshots at 2 048 points
+# checked by snapshot_steps before any work: each point keeps two
+# floats, so the budget is 16 MB; the largest request of the examples,
+# tests and benchmark is 5 snapshots at 2 048 points
 MAX_SNAPSHOT_POINTS = 1 << 20
 
 # the admissibility guard refuses a run whose profile, within 3 of
@@ -83,10 +82,10 @@ class BlowUpError(RuntimeError):
 
 
 class InadmissibleFamilyError(ValueError):
-    """The requested run cannot be simulated as set up: b is excluded,
-    the instance's profile is singular on the swept interval, its tails
-    have not flattened at the domain edge, or dt exceeds the step-size
-    guard for its initial state."""
+    """The requested run cannot be simulated as set up: the instance's
+    profile is singular on the swept interval, its tails have not
+    flattened at the domain edge, or dt exceeds the step-size guard for
+    its initial state."""
 
 
 # ---------------------------------------------------------------------
@@ -159,15 +158,23 @@ class SimConfig:
             raise ValueError("need at least two snapshots (first, last)")
         if not self.blowup_threshold > 0:
             raise ValueError("blowup_threshold must be positive")
-        # last: an excluded b is no flag slip but an inadmissible run
-        try:
-            require_valid_b(self.b)
-        except ValueError as exc:
-            raise InadmissibleFamilyError(str(exc)) from None
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
+
+
+def snapshot_steps(cfg: SimConfig, grid: Grid) -> set[int]:
+    """The steps a run keeps a snapshot at, 0 and the last among them;
+    ValueError past MAX_SNAPSHOT_POINTS stored grid points."""
+    # a spacing of at most one step already hits every step, so more
+    # points than steps add nothing but memory
+    n_snaps = min(cfg.snapshots, cfg.n_steps + 1)
+    if n_snaps * grid.n > MAX_SNAPSHOT_POINTS:
+        raise ValueError(f"{n_snaps} snapshots of {grid.n} points exceed "
+                         f"the budget of {MAX_SNAPSHOT_POINTS} stored "
+                         f"points")
+    return {int(round(s)) for s in np.linspace(0, cfg.n_steps, n_snaps)}
 
 
 def cfl_limit(u0: np.ndarray, grid: Grid) -> float:
@@ -428,14 +435,8 @@ def run(inst: FamilyInstance, cfg: SimConfig, grid: Grid) -> SimReport:
     its exact translate."""
     if inst.b != cfg.b:
         raise ValueError(f"instance b = {inst.b:g} is not cfg.b = {cfg.b:g}")
+    snap_steps = snapshot_steps(cfg, grid)
     n_steps = cfg.n_steps
-    # a spacing of at most one step already hits every step, so more
-    # points than steps add nothing but memory
-    n_snaps = min(cfg.snapshots, n_steps + 1)
-    if n_snaps * grid.n > MAX_SNAPSHOT_POINTS:
-        raise ValueError(f"{n_snaps} snapshots of {grid.n} points exceed "
-                         f"the budget of {MAX_SNAPSHOT_POINTS} stored "
-                         f"points")
     t_end = n_steps * cfg.dt
 
     lam = inst.speed()
@@ -450,7 +451,6 @@ def run(inst: FamilyInstance, cfg: SimConfig, grid: Grid) -> SimReport:
             f"dt = {cfg.dt:.3e} exceeds the step-size guard {guard:.3e} "
             f"for this initial state")
 
-    snap_steps = {int(round(s)) for s in np.linspace(0, n_steps, n_snaps)}
     state = SimState.of(0.0, u0, grid)
     mass0 = state.mass
     mass_scale = max(abs(mass0), grid.dx * float(np.abs(u0).sum()),

@@ -142,9 +142,14 @@ def test_usage_errors(capsys, argv):
     ["verify", "--expr", "xi + q", "--b", "-1"],
     ["simulate", "--family", "u6", "--b", "-1", "--param", "zz=1"],
     ["simulate", "--family", "u6", "--b", "-1", "--dt", "0"],
+    ["simulate", "--family", "u6", "--b", "-1", "--T", "500",
+     "--snapshots", "1000001"],
+    ["simulate", "--family", "u1", "--param", "mu=0", "--T", "500",
+     "--snapshots", "1000001"],
 ])
 def test_usage_error_comes_before_validity_error(capsys, argv):
-    # each argv also has an excluded b, alone an exit 2
+    # each argv also has an excluded b or inadmissible parameters,
+    # alone an exit 2
     rc, out, err = run_cli(capsys, argv)
     assert rc == EXIT_USAGE and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1

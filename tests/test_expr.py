@@ -233,6 +233,8 @@ def test_unbound_symbol_reports_name():
     ("sqrt(x)", {"x": -1.0}),
     ("1/x", {"x": 0.0}),
     ("x^-3", {"x": 0.0}),
+    ("cot(x)", {"x": 0.0}),
+    ("csc(x)", {"x": 0.0}),
 ])
 def test_domain_violations_raise(text, env):
     with pytest.raises(EvalError):
@@ -259,6 +261,49 @@ def test_evaluate_exact():
         evaluate_exact(parse("sin(1)"), {})
     with pytest.raises(ExactnessError):
         evaluate_exact(Const(0.5), {})
+
+
+# real points inside each function's domain, and its exact values as
+# (rational argument, value) pairs; none has one at 2/3 or -1, and at 0
+# only those listed
+_REAL_POINTS = (-1.3, -0.4, 0.7, 1.9)
+_POSITIVE_POINTS = (0.3, 0.7, 1.9, 4.0)
+_FUNCTION_CASES = {
+    "exp": (_REAL_POINTS, [(0, 1)]),
+    "log": (_POSITIVE_POINTS, [(1, 0)]),
+    "sqrt": (_POSITIVE_POINTS, [(0, 0), (Fraction(4, 9), Fraction(2, 3))]),
+    "sin": (_REAL_POINTS, [(0, 0)]),
+    "cos": (_REAL_POINTS, [(0, 1)]),
+    "tan": (_REAL_POINTS, [(0, 0)]),
+    "cot": (_REAL_POINTS, []),
+    "csc": (_REAL_POINTS, []),
+    "sinh": (_REAL_POINTS, [(0, 0)]),
+    "cosh": (_REAL_POINTS, [(0, 1)]),
+    "tanh": (_REAL_POINTS, [(0, 0)]),
+}
+
+
+@pytest.mark.parametrize("fn", E.FUNCTIONS)
+def test_function_record_columns_agree(fn):
+    # the float value, numpy source, derivative and exact value of one
+    # function are four columns of one record; each is checked against
+    # another, so a wrong entry in any column fails
+    points, exact = _FUNCTION_CASES[fn]
+    f = E.call(fn, X)
+    compiled = compile_fn((f, diff(f, X)), ["x"])
+    h = 1e-5
+    for x in points:
+        value = evaluate(f, {"x": x})
+        got, slope = (float(v) for v in compiled(x))
+        assert got == pytest.approx(value, rel=1e-13)
+        central = (evaluate(f, {"x": x + h})
+                   - evaluate(f, {"x": x - h})) / (2 * h)
+        assert slope == pytest.approx(central, rel=1e-7)
+    for arg, want in exact:
+        assert evaluate_exact(E.call(fn, Const(arg)), {}) == want
+    for arg in {Fraction(2, 3), -1, 0} - dict(exact).keys():
+        with pytest.raises(ExactnessError):
+            evaluate_exact(E.call(fn, Const(arg)), {})
 
 
 # ---------------------------------------------------------------------

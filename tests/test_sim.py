@@ -2,6 +2,7 @@
 solution oracles from the catalog, conservation, convergence order,
 and admissibility rejections."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,10 +12,10 @@ import pytest
 from mdpv.catalog import FamilyInstance
 from mdpv.expr import compile_fn
 from mdpv.sim import (
-    MAX_N, BlowUpError, Grid, InadmissibleFamilyError, SimConfig, SimReport,
-    SimState, _flux_hat, _operators, _PeakTracker, _rk4, cfl_limit,
-    flux_divergence,
-    helmholtz_solve, rhs, run, step_rk4, write_snapshots_csv,
+    MAX_N, MAX_SNAPSHOT_POINTS, BlowUpError, Grid, InadmissibleFamilyError,
+    SimConfig, SimReport, SimState, _flux_hat, _operators, _PeakTracker,
+    _rk4, cfl_limit, flux_divergence, helmholtz_solve, rhs, run,
+    snapshot_steps, step_rk4, write_snapshots_csv,
 )
 
 SCHEMES = ("spectral", "fd4")
@@ -83,13 +84,19 @@ def test_state_mass_and_checks():
         SimState.of(0.0, bad, g)
 
 
-@pytest.mark.parametrize("kw", [
-    dict(b=-1.0), dict(b=-2.0), dict(dt=-1e-3), dict(t_final=-1.0),
+# b is left to the instance, which refuses an excluded one; the ids
+# keep the numbers they had when kw0 and kw1 were b = -1 and b = -2
+_BAD_FIELDS = [
+    dict(dt=-1e-3), dict(t_final=-1.0),
     dict(scheme="fd2"), dict(snapshots=1), dict(blowup_threshold=0),
     dict(blowup_threshold=-1.0),
     # the time axis: a positive dt, a whole number of steps, the budget
     dict(dt=0.0), dict(t_final=0.0015), dict(dt=1e-9),
-])
+]
+
+
+@pytest.mark.parametrize("kw", _BAD_FIELDS, ids=[
+    f"kw{i}" for i in range(2, 2 + len(_BAD_FIELDS))])
 def test_config_rejects_bad_fields(kw):
     base = dict(b=3.0, dt=1e-3, t_final=1.0)
     base.update(kw)
@@ -473,6 +480,26 @@ def test_run_mass_conservation_other_family():
               SimConfig(b=0.5, dt=1e-3, t_final=0.3), Grid(256, 40.0))
     assert rep.mass_drift <= 1e-8
     assert rep.linf_error <= 1e-6
+
+
+def test_snapshot_steps_keep_both_ends_within_the_budget():
+    grid = Grid(256, 40.0)
+    cfg = SimConfig(b=3.0, dt=1e-3, t_final=1.0)
+    assert snapshot_steps(cfg, grid) == {0, 250, 500, 750, 1000}
+    # 10 001 steps: the budget, not the step count, caps the request
+    fits = MAX_SNAPSHOT_POINTS // grid.n
+    cfg = SimConfig(b=3.0, dt=1e-3, t_final=10.0, snapshots=fits)
+    assert len(snapshot_steps(cfg, grid)) == fits
+    with pytest.raises(ValueError, match="budget"):
+        snapshot_steps(dataclasses.replace(cfg, snapshots=fits + 1), grid)
+
+
+def test_run_refuses_an_instance_of_another_b():
+    # SimConfig leaves b to the instance, so this is what keeps an
+    # excluded b out of every run
+    with pytest.raises(ValueError, match="cfg.b"):
+        run(_u6(), SimConfig(b=-1.0, dt=1e-3, t_final=2e-3),
+            Grid(256, 40.0))
 
 
 def test_run_snapshots_are_capped_by_the_steps():
