@@ -34,8 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Add, ExactnessError, Expr, Sym, add, con, cosh, diff, evaluate,
-    evaluate_exact, exp, format_expr, log, mul, pow_, sinh, sqrt,
+    Add, Const, EvalError, ExactnessError, Expr, Mul, Pow, Sym, add, con,
+    cosh, diff, evaluate, evaluate_exact, exp, format_expr, log, mul, pow_,
+    sinh, sqrt,
 )
 from . import polytools as pt
 from .catalog import method_tag
@@ -92,10 +93,26 @@ class AlgebraicSystem:
     def __len__(self) -> int:
         return len(self.equations)
 
+    @functools.cached_property
+    def _terms(self) -> tuple[tuple[tuple, ...], ...]:
+        """Each equation as its terms, each term as its factors in the
+        order `evaluate` multiplies them: a constant as its float value,
+        a symbol or an integer power of one as (name, exponent)."""
+        return tuple(tuple(_term_factors(t) for t in
+                           (eq.terms if isinstance(eq, Add) else (eq,)))
+                     for eq in self.equations)
+
     def max_abs_at(self, env: dict[str, float]) -> float:
+        """Largest |equation| at env, inf once one is nan: each equation
+        summed as `evaluate` sums it, bit for bit."""
         worst = 0.0
-        for eq in self.equations:
-            v = abs(evaluate(eq, env))
+        for terms in self._terms:
+            try:
+                v = abs(math.fsum(_term_value(t, env) for t in terms))
+            except ValueError:   # -inf + inf
+                v = math.nan
+            except OverflowError:
+                v = math.inf
             if math.isnan(v):
                 return math.inf
             worst = max(worst, v)
@@ -105,10 +122,9 @@ class AlgebraicSystem:
         """Largest contributing monomial magnitude: the cancellation
         scale a zero judgement must be measured against."""
         scale = 0.0
-        for eq in self.equations:
-            terms = eq.terms if isinstance(eq, Add) else (eq,)
-            for term in terms:
-                v = abs(evaluate(term, env))
+        for terms in self._terms:
+            for t in terms:
+                v = abs(_term_value(t, env))
                 if math.isfinite(v):
                     scale = max(scale, v)
         return scale
@@ -119,6 +135,44 @@ class AlgebraicSystem:
     def dump(self) -> list[dict]:
         return [{"power": p, "coefficient": format_expr(eq)}
                 for p, eq in zip(self.powers, self.equations)]
+
+
+def _term_factors(term: Expr) -> tuple:
+    # one row of AlgebraicSystem._terms
+    row = []
+    for f in (term.factors if isinstance(term, Mul) else (term,)):
+        if isinstance(f, Const):
+            row.append(evaluate(f, {}))
+        elif isinstance(f, Sym):
+            row.append((f.name, 1))
+        elif isinstance(f, Pow) and isinstance(f.base, Sym) and \
+                isinstance(f.exponent, Const) and f.exponent.is_rational \
+                and f.exponent.value.denominator == 1:
+            row.append((f.base.name, int(f.exponent.value)))
+        else:
+            raise TypeError(f"not a monomial factor: {format_expr(f)}")
+    return tuple(row)
+
+
+def _term_value(row: tuple, env: dict[str, float]) -> float:
+    """`evaluate` of the term whose factors are `row`, bit for bit."""
+    out = 1.0
+    for f in row:
+        if type(f) is float:
+            out *= f
+            continue
+        name, n = f
+        try:
+            v = float(env[name])
+        except KeyError:
+            raise EvalError(f"unbound symbol '{name}'", Sym(name)) from None
+        if v == 0.0 and n < 0:
+            raise EvalError("division by zero", pow_(Sym(name), n))
+        try:
+            out *= v ** n
+        except OverflowError:
+            out *= math.inf if v > 0 or n % 2 == 0 else -math.inf
+    return out
 
 
 def _assemble_system(variable: str, unknowns: tuple[str, ...],

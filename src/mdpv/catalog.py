@@ -30,8 +30,7 @@ import functools
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .expr import (
     Expr, Fraction, cos, cosh, cot, csc, evaluate, evaluate_exact, exp,
@@ -41,6 +40,9 @@ from .residual import (
     SCAN_N, SCAN_TOL, SCAN_WINDOW, VARIANTS, ResidualReport,
     distinct_points, find_zeros, ode_residual, require_valid_b, scan,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Family", "FamilyInstance", "family", "family_ids",

@@ -36,12 +36,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import re
 import sys
 from collections.abc import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .catalog import (
@@ -52,8 +52,12 @@ from .expr import EvalError, ExprError, evaluate, free_symbols, parse
 from .residual import SCAN_N, SCAN_TOL, SCAN_WINDOW, VARIANTS, \
     ResidualReport, ode_residual, require_valid_b, scan, within_tolerance
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # mdpv.ansatz, mdpv.riccati and mdpv.sim are imported inside the
-# commands that call them, so that no other command loads them
+# commands that call them, and numpy by the first array computation,
+# so that no other command loads them
 
 __all__ = [
     "main", "render_json", "UsageError", "ValidityError",
@@ -115,9 +119,12 @@ def render_json(obj, level: int = 0) -> str:
         return "true" if obj else "false"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
+    # numpy registers its integer and floating scalars as these
+    # abstract numbers; a Fraction, a Rational, is refused below
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real) and \
+            not isinstance(obj, numbers.Rational):
         return _float_repr(float(obj))
     if isinstance(obj, Mapping):
         if not obj:
@@ -289,6 +296,7 @@ def _provided(fid: str, pairs) -> dict[str, float]:
 
 
 def _family_rng(seed: int, fid: str) -> np.random.Generator:
+    import numpy as np
     return np.random.default_rng([seed, int(fid[1:])])
 
 

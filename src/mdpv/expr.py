@@ -25,20 +25,21 @@ walker is a loop over it that fills a dict keyed by node, so tree depth
 is not bounded by the interpreter's recursion limit.
 `evaluate`, `evaluate_exact`, formatting and the parser keep no memo
 and recurse directly; `parse` bounds the depth of trees read from text.
+Only `compile_fn` and `pointwise_equal` compute with arrays, and they
+import numpy when first called, so importing the kernel loads none.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 import weakref
 from fractions import Fraction
 from typing import (
     Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence,
     Union,
 )
-
-import numpy as np
 
 __all__ = [
     "Expr", "Const", "Sym", "Add", "Mul", "Pow", "Call",
@@ -185,7 +186,8 @@ class Const(Expr):
         v = self.value
         if isinstance(v, Fraction):
             return _mix(1, hash(v.numerator), hash(v.denominator))
-        return _mix(2, int.from_bytes(np.float64(v).tobytes(), "little",
+        # the IEEE-754 bytes, little-endian on every host
+        return _mix(2, int.from_bytes(struct.pack("<d", v), "little",
                                       signed=False))
 
     @property
@@ -799,28 +801,27 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
         ex = e.exponent
         if isinstance(ex, Const) and ex.is_rational and \
                 ex.value.denominator == 1:
-            n = int(ex.value)
-            if b == 0.0 and n < 0:
-                raise EvalError("division by zero", e)
-            try:
-                return b ** n
-            except OverflowError:
-                return math.inf if b > 0 or n % 2 == 0 else -math.inf
-        x = evaluate(ex, env)
+            x = int(ex.value)
+        else:
+            x = evaluate(ex, env)
+            if b < 0.0 and math.isfinite(x) and x != int(x):
+                raise EvalError("negative base with fractional exponent", e)
         if b == 0.0 and x < 0:
             raise EvalError("division by zero", e)
-        if b < 0.0 and x != int(x):
-            raise EvalError("negative base with fractional exponent", e)
         try:
             return b ** x
         except OverflowError:
-            return math.inf
+            # a negative base has a whole exponent here
+            return math.inf if b > 0 or x % 2 == 0 else -math.inf
     if isinstance(e, Call):
         a = evaluate(e.arg, env)
+        fn = _FUNCTION_TABLE[e.fn].value
         try:
-            return _FUNCTION_TABLE[e.fn].value(a)
+            return fn(a)
         except OverflowError:
-            return math.inf
+            # exp, sinh and cosh, the functions that overflow, keep one
+            # sign on each side of 0
+            return math.copysign(math.inf, fn(math.copysign(1.0, a)))
         except ValueError:
             # off the domain: an error at a real point, while a
             # non-finite argument propagates as nan
@@ -1186,18 +1187,11 @@ def compile_fn(e: Expr | tuple[Expr, ...],
     return _compile(e, tuple(variables))
 
 
-def _filled(out, arrs: list) -> np.ndarray:
-    # a constant output as an array of the arguments' broadcast shape
-    if np.isscalar(out) or (isinstance(out, np.ndarray) and out.shape == ()):
-        shape = np.broadcast(*arrs).shape if arrs else ()
-        out = np.full(shape, float(out)) if shape else np.asarray(
-            out, dtype=float)
-    return out
-
-
 @functools.lru_cache(maxsize=_COMPILE_CACHE_SIZE)
 def _compile(e: Expr | tuple[Expr, ...],
              variables: tuple[str, ...]) -> Callable:
+    import numpy as np
+
     names: dict[Expr, str] = {}
     lines: list[str] = []
     var_set = set(variables)
@@ -1262,12 +1256,21 @@ def _compile(e: Expr | tuple[Expr, ...],
     exec(compile(src, f"<expr:{id(e)}>", "exec"), namespace)
     raw = namespace["_generated"]
 
+    def filled(out, arrs: list):
+        # a constant output as an array of the arguments' broadcast shape
+        if np.isscalar(out) or (isinstance(out, np.ndarray)
+                                and out.shape == ()):
+            shape = np.broadcast(*arrs).shape if arrs else ()
+            out = np.full(shape, float(out)) if shape else np.asarray(
+                out, dtype=float)
+        return out
+
     def wrapped(*arrays):
         arrs = [np.asarray(a, dtype=float) for a in arrays]
         out = raw(*arrs)
         if isinstance(e, tuple):
-            return tuple(_filled(o, arrs) for o in out)
-        return _filled(out, arrs)
+            return tuple(filled(o, arrs) for o in out)
+        return filled(out, arrs)
 
     return wrapped
 
@@ -1279,6 +1282,8 @@ def pointwise_equal(e1: Expr, e2: Expr,
     """Sampling oracle for semantic equality: at n seeded points in the
     boxed domain, |e1 - e2| <= tol*(1 + max(|e1|,|e2|)) must hold.
     Points where either side is non-finite are rejected and redrawn."""
+    import numpy as np
+
     names = sorted(free_symbols(e1) | free_symbols(e2))
     for nm in names:
         if nm not in domain:

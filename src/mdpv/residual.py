@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .expr import (
     Add, Expr, compile_fn, con, diff, free_symbols, substitute_map, sym,
 )
@@ -166,6 +164,8 @@ def scan(residual: Expr, env: Mapping[str, float],
     var = unbound[0]
     bound = sorted(free - {var})
 
+    import numpy as np
+
     grid = np.linspace(window[0], window[1], n)
     keep = np.ones(n, dtype=bool)
     for x0 in exclusions:
@@ -207,6 +207,8 @@ def find_zeros(f: Expr, var: str, window: tuple[float, float],
     negligible against f's window-wide scale.  The roots come back as
     `distinct_points`.
     """
+    import numpy as np
+
     env = dict(env or {})
     names = sorted(free_symbols(f) - {var})
     extra = [float(env[nm]) for nm in names]

@@ -19,7 +19,7 @@ import pytest
 
 from mdpv.ansatz import (
     BALANCE_PAIRS, CHOSEN_DEGREE, CLEARING_POWER, _SYSTEM_BUILDERS,
-    AlgebraicSystem, _quotient_step, balance_m, cole_hopf_build,
+    AlgebraicSystem, _quotient_step, _term_value, balance_m, cole_hopf_build,
     cole_hopf_system, draw_aux, family_system_env, laurent_residual,
     rational_hyperbolic_build, rational_hyperbolic_system,
     system_for_family, tanh_coth_system,
@@ -27,10 +27,10 @@ from mdpv.ansatz import (
 from mdpv.catalog import ROUTES, draw_params, family_ids, profile_with_values
 from mdpv import polytools as pt
 from mdpv.expr import (
-    Sym, add, con, diff, evaluate, free_symbols, mul, parse, pointwise_equal,
-    pow_,
+    Add, EvalError, Sym, add, con, diff, evaluate, free_symbols, mul, parse,
+    pointwise_equal, pow_, sin,
 )
-from mdpv.cli import SYSTEM_TOL
+from mdpv.cli import B_LIST, SYSTEM_TOL
 from mdpv.residual import modified_eq, ode_residual, within_tolerance
 from mdpv.riccati import RiccatiSpec, solution
 
@@ -367,6 +367,74 @@ def test_negative_controls_break_annihilation():
     env = family_system_env("u1", 2.0, {"mu": 0.9})
     env["bg"] *= 1.001
     assert not holds(cole_hopf_system(), env)
+
+
+def _system_checks():
+    # (family id, env) of the rows a system check meets: every family at
+    # each default b, three draws each, a row past float range, and u3
+    # where its monomials reach 1e200 and overflow
+    for fid in family_ids():
+        rng = np.random.default_rng(3000 + int(fid[1:]))
+        for b in map(float, B_LIST.split(",")):
+            for _ in range(3):
+                params = draw_params(fid, rng, b)
+                yield fid, family_system_env(fid, b, params,
+                                             draw_aux(fid, rng))
+    rng = np.random.default_rng(20)
+    env = family_system_env("u20", 1.0, draw_params("u20", rng, 1.0))
+    env["a0"] += 1e308
+    yield "u20", env
+    for b in (1e200, 1e307):
+        yield "u3", family_system_env("u3", b, {})
+
+
+def test_term_table_reproduces_evaluate():
+    # the reference is the check as `evaluate` makes it over the
+    # equations; the table must give the same bits, term by term too,
+    # where a term's overflow keeps its sign
+    for fid, env in _system_checks():
+        S = system_for_family(fid)
+        values = []
+        for eq, rows in zip(S.equations, S._terms):
+            want = [evaluate(t, env)
+                    for t in (eq.terms if isinstance(eq, Add) else (eq,))]
+            got = [_term_value(row, env) for row in rows]
+            assert list(map(repr, got)) == list(map(repr, want)), fid
+            values += want
+        worst = 0.0
+        for eq in S.equations:
+            v = abs(evaluate(eq, env))
+            if math.isnan(v):
+                worst = math.inf
+                break
+            worst = max(worst, v)
+        scale = max((abs(v) for v in values if math.isfinite(v)),
+                    default=0.0)
+        assert repr(S.max_abs_at(env)) == repr(worst), fid
+        assert repr(S.scale_at(env)) == repr(scale), fid
+
+
+def test_term_table_overflows_and_fails_as_evaluate_does():
+    eq = parse("2*x^3*y - x^2 + y/x")
+    S = AlgebraicSystem("z", ("x", "y"), (0,), (eq,), "", (0,))
+    env = {"x": -1e200, "y": 1.0}
+    assert [repr(_term_value(row, env)) for row in S._terms[0]] == \
+        [repr(evaluate(t, env)) for t in eq.terms] == \
+        ["-inf", "-inf", "-1e-200"]
+    for env, message in (({"x": 0.0, "y": 1.0}, "division by zero"),
+                         ({"x": 1.0}, "unbound symbol 'y'")):
+        with pytest.raises(EvalError, match=message) as want:
+            evaluate(eq, env)
+        with pytest.raises(EvalError, match=message) as got:
+            S.scale_at(env)
+        assert str(got.value) == str(want.value)
+
+
+def test_term_table_refuses_a_factor_that_is_not_a_monomial():
+    eq = add(1, sin(Sym("x")))
+    S = AlgebraicSystem("z", ("x",), (0,), (eq,), "", (0,))
+    with pytest.raises(TypeError):
+        S.max_abs_at({"x": 1.0})
 
 
 def test_unknown_family_rejected():

@@ -13,8 +13,10 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mdpv.cli import (
@@ -48,6 +50,13 @@ def test_render_json_fixed_form():
                                 "c": {"d": "x"}}
     assert "0.10000000000000001" in text  # 17 significant digits
     assert render_json(doc) == text
+
+
+def test_render_json_takes_numpy_scalars_and_refuses_a_fraction():
+    assert render_json([np.int64(3), np.float32(0.5)]) == \
+        "[\n  3,\n  0.5\n]"
+    with pytest.raises(TypeError):
+        render_json({"v": Fraction(1, 3)})
 
 
 def test_render_json_rejects_nonfinite():
@@ -364,6 +373,8 @@ def test_variant_choices_are_the_residual_table(capsys):
     # one whose tol * (1 + scale) is itself infinite
     (["system-verify", "--method", "hyperbolic", "--family", "u3", "--b",
       "1e307", "--tol", "1e300"], EXIT_FAIL),
+    # a negative base to an infinite power is infinite, not a traceback
+    (["verify", "--expr", "(-2)^exp(1000)", "--b", "3"], EXIT_FAIL),
 ])
 def test_every_exit_code_with_json(capsys, argv, code):
     rc, out, err = run_cli(capsys, argv + ["--json"])
@@ -786,9 +797,22 @@ def _fresh_interpreter(code: str) -> str:
 def test_cli_import_builds_and_loads_only_what_every_command_uses():
     probe = ("import sys, mdpv.cli; from mdpv.catalog import family;"
              " print(sorted(m for m in ('mdpv.ansatz', 'mdpv.polytools',"
-             " 'mdpv.riccati', 'mdpv.sim') if m in sys.modules),"
+             " 'mdpv.riccati', 'mdpv.sim', 'numpy') if m in sys.modules),"
              " family.cache_info().currsize)")
     assert _fresh_interpreter(probe) == "[] 0"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["list", "--json"], "0 False"),
+    (["verify", "--expr", "sin(", "--b", "3"], "1 False"),
+    (["verify", "--expr", "1/xi", "--b", "3"], "3 True"),
+])
+def test_numpy_loads_at_the_first_array_computation(argv, want):
+    # a command that computes no array, a parse error among them, starts
+    # and ends without numpy; the exit code comes first
+    probe = (f"import sys; from mdpv import cli; code = cli.main({argv!r});"
+             " print(code, 'numpy' in sys.modules)")
+    assert _fresh_interpreter(probe) == want
 
 
 @pytest.mark.parametrize("argv,built", [

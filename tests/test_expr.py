@@ -250,6 +250,23 @@ def test_overflow_saturates():
     assert evaluate(parse("exp(x)"), {"x": 1e4}) == math.inf
 
 
+@pytest.mark.parametrize("text,env", [
+    ("sinh(x)", {"x": 1000.0}), ("sinh(x)", {"x": -1000.0}),
+    ("cosh(x)", {"x": 1000.0}), ("cosh(x)", {"x": -1000.0}),
+    ("exp(x)", {"x": 1000.0}), ("exp(x)", {"x": -1000.0}),
+    ("x^(3*y)", {"x": -1e200, "y": 1.0}),
+    ("x^(2*y)", {"x": -1e200, "y": 1.0}),
+    # a negative base to a non-finite power propagates, as numpy's does
+    ("x^y", {"x": -2.0, "y": math.inf}), ("x^y", {"x": -0.5, "y": math.inf}),
+    ("x^y", {"x": -2.0, "y": -math.inf}), ("x^y", {"x": -2.0, "y": math.nan}),
+])
+def test_past_float_range_evaluate_agrees_with_compile_fn(text, env):
+    e = parse(text)
+    names = sorted(env)
+    want = float(compile_fn(e, names)(*[env[n] for n in names]))
+    assert repr(evaluate(e, env)) == repr(want)
+
+
 def test_evaluate_exact():
     assert evaluate_exact(parse("(3/4)^2 + 1/16"), {}) == Fraction(5, 8)
     assert evaluate_exact(parse("sqrt(9/16)"), {}) == Fraction(3, 4)
@@ -333,6 +350,15 @@ def test_constants_intern_by_type_and_value():
     assert Const(1) is not Const(1.0)
     assert Const(0.0) is Const(-0.0)
     assert Const(Fraction(2, 4)) is Const(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("v", [0.1, -2.5, 1e300, math.inf, math.nan])
+def test_float_digest_hashes_the_ieee_bytes(v):
+    # the digest numpy's bytes of the float gave on little-endian hosts,
+    # now the digest on every host
+    raw = np.array(v, dtype="<f8").tobytes()
+    want = E._mix(2, int.from_bytes(raw, "little", signed=False))
+    assert Const(v).shash == want
 
 
 def test_numpy_floats_intern_as_plain_floats():
