@@ -34,9 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Add, Const, EvalError, ExactnessError, Expr, Mul, Pow, Sym, add, con,
-    cosh, diff, evaluate, evaluate_exact, exp, format_expr, log, mul, pow_,
-    sinh, sqrt,
+    ExactnessError, Expr, Sym, add, con, cosh, diff, evaluate_exact, exp,
+    format_expr, log, mul, pow_, sinh, sqrt,
 )
 from . import polytools as pt
 from .catalog import method_tag
@@ -80,35 +79,37 @@ def balance_m() -> set[int]:
 class AlgebraicSystem:
     """One coefficient equation per collected power, all required to
     vanish.  `powers` records the exponent each equation came from
-    (before any clearing shift); `distinct` indexes one representative
-    per proportionality class."""
+    (before any clearing shift); `terms` holds each equation's terms in
+    its term order, each as a row: the coefficient as a float, then
+    (name, exponent) for each unknown the monomial holds."""
 
     variable: str
     unknowns: tuple[str, ...]
     powers: tuple[int, ...]
     equations: tuple[Expr, ...]
     normalization: str
-    distinct: tuple[int, ...]
+    terms: tuple[tuple[tuple, ...], ...]
 
     def __len__(self) -> int:
         return len(self.equations)
 
-    @functools.cached_property
-    def _terms(self) -> tuple[tuple[tuple, ...], ...]:
-        """Each equation as its terms, each term as its factors in the
-        order `evaluate` multiplies them: a constant as its float value,
-        a symbol or an integer power of one as (name, exponent)."""
-        return tuple(tuple(_term_factors(t) for t in
-                           (eq.terms if isinstance(eq, Add) else (eq,)))
-                     for eq in self.equations)
+    @property
+    def distinct(self) -> tuple[int, ...]:
+        """One representative per proportionality class: the first index
+        of each equation, as proportional rows normalize to one
+        polynomial and so to one hash-consed expression."""
+        first: dict[Expr, int] = {}
+        for i, eq in enumerate(self.equations):
+            first.setdefault(eq, i)
+        return tuple(first.values())
 
     def max_abs_at(self, env: dict[str, float]) -> float:
         """Largest |equation| at env, inf once one is nan: each equation
         summed as `evaluate` sums it, bit for bit."""
         worst = 0.0
-        for terms in self._terms:
+        for rows in self.terms:
             try:
-                v = abs(math.fsum(_term_value(t, env) for t in terms))
+                v = abs(math.fsum(_term_value(t, env) for t in rows))
             except ValueError:   # -inf + inf
                 v = math.nan
             except OverflowError:
@@ -122,8 +123,8 @@ class AlgebraicSystem:
         """Largest contributing monomial magnitude: the cancellation
         scale a zero judgement must be measured against."""
         scale = 0.0
-        for terms in self._terms:
-            for t in terms:
+        for rows in self.terms:
+            for t in rows:
                 v = abs(_term_value(t, env))
                 if math.isfinite(v):
                     scale = max(scale, v)
@@ -137,37 +138,11 @@ class AlgebraicSystem:
                 for p, eq in zip(self.powers, self.equations)]
 
 
-def _term_factors(term: Expr) -> tuple:
-    # one row of AlgebraicSystem._terms
-    row = []
-    for f in (term.factors if isinstance(term, Mul) else (term,)):
-        if isinstance(f, Const):
-            row.append(evaluate(f, {}))
-        elif isinstance(f, Sym):
-            row.append((f.name, 1))
-        elif isinstance(f, Pow) and isinstance(f.base, Sym) and \
-                isinstance(f.exponent, Const) and f.exponent.is_rational \
-                and f.exponent.value.denominator == 1:
-            row.append((f.base.name, int(f.exponent.value)))
-        else:
-            raise TypeError(f"not a monomial factor: {format_expr(f)}")
-    return tuple(row)
-
-
 def _term_value(row: tuple, env: dict[str, float]) -> float:
-    """`evaluate` of the term whose factors are `row`, bit for bit."""
-    out = 1.0
-    for f in row:
-        if type(f) is float:
-            out *= f
-            continue
-        name, n = f
-        try:
-            v = float(env[name])
-        except KeyError:
-            raise EvalError(f"unbound symbol '{name}'", Sym(name)) from None
-        if v == 0.0 and n < 0:
-            raise EvalError("division by zero", pow_(Sym(name), n))
+    """`evaluate` of the term `row` was written from, bit for bit."""
+    out = row[0]
+    for name, n in row[1:]:
+        v = float(env[name])
         try:
             out *= v ** n
         except OverflowError:
@@ -181,10 +156,13 @@ def _assemble_system(variable: str, unknowns: tuple[str, ...],
                      ) -> AlgebraicSystem:
     """Normalize per-power coefficient polynomials into a system:
     strip guaranteed-nonzero monomial factors, divide out rational
-    content, drop zero rows, and index proportionality classes."""
+    content, drop zero rows, and write each equation's term rows."""
     powers: list[int] = []
     equations: list[Expr] = []
-    normalized: list[frozenset] = []
+    terms: list[tuple] = []
+    # the rows share each equal coefficient and (name, exponent) pair:
+    # a system's hundreds of terms hold a few dozen distinct ones
+    shared: dict = {}
     for j in sorted(groups):
         poly = pt.normalize_primitive(
             pt.strip_monomial_gcd(groups[j], param_names, nonzero))
@@ -192,16 +170,16 @@ def _assemble_system(variable: str, unknowns: tuple[str, ...],
             continue
         powers.append(j)
         equations.append(pt.from_poly(poly, param_names))
-        normalized.append(frozenset(poly.items()))
-    distinct: list[int] = []
-    seen: set[frozenset] = set()
-    for i, key in enumerate(normalized):
-        if key not in seen:
-            seen.add(key)
-            distinct.append(i)
+        # from_poly's term order: no equation has a constant monomial,
+        # which `add` would move to the front
+        rows = []
+        for m, c in pt.graded_lex_terms(poly):
+            row = (float(c),) + tuple(
+                (n, e) for n, e in zip(param_names, m) if e)
+            rows.append(tuple(shared.setdefault(f, f) for f in row))
+        terms.append(tuple(rows))
     return AlgebraicSystem(variable, unknowns, tuple(powers),
-                           tuple(equations), normalization,
-                           tuple(distinct))
+                           tuple(equations), normalization, tuple(terms))
 
 
 def _collect_powers(numerator: Expr, variables: tuple[str, ...],
@@ -272,41 +250,40 @@ def cole_hopf_build(amplitude, background, wavenumber, speed, phase):
 
 
 _CH_UNKNOWNS = ("amp", "bg", "mu", "lam")
-_CH_VARS = ("z", "amp", "bg", "mu", "lam", "b")
+_CH_VARS = ("z",) + _CH_UNKNOWNS + ("b",)
 
 
 @functools.cache
 def cole_hopf_system() -> AlgebraicSystem:
     """Coefficient system of the exponential-kernel route, collected in
     the traveling exponential, with b symbolic."""
-    z = Sym("z")
-    A, B, mu, lam, b = (Sym(s) for s in ("amp", "bg", "mu", "lam", "b"))
+    z, A, B, mu, lam, b = (Sym(s) for s in _CH_VARS)
     w = add(con(1), z)
     # u = (A mu^2 z + B (1+z)^2) / (1+z)^2 in z = exp(mu x + lam t + d),
     # so d/dx = mu z d/dz and d/dt = lam z d/dz
     dx, dt = mul(mu, z), mul(lam, z)
-    P0 = add(mul(A, pow_(mu, 2), z), mul(B, pow_(w, 2)))
-    P1, k1 = _quotient_step(P0, 2, dx, w, "z")         # u_x
+    P0, k0 = add(mul(A, pow_(mu, 2), z), mul(B, pow_(w, 2))), 2     # u
+    P1, k1 = _quotient_step(P0, k0, dx, w, "z")        # u_x
     P2, k2 = _quotient_step(P1, k1, dx, w, "z")        # u_xx
     P3, k3 = _quotient_step(P2, k2, dx, w, "z")        # u_xxx
-    Pt, kt = _quotient_step(P0, 2, dt, w, "z")         # u_t
+    Pt, kt = _quotient_step(P0, k0, dt, w, "z")        # u_t
     Pq, kq = _quotient_step(Pt, kt, dx, w, "z")
     Pxxt, kxxt = _quotient_step(Pq, kq, dx, w, "z")    # u_xxt
-    assert (k3, kxxt) == (5, 5)
-    # residual u_t - u_xxt + (b+1)u^2 u_x - b u_x u_xx - u u_xxx,
-    # multiplied through by (1+z)^7
+    # residual u_t - u_xxt + (b+1)u^2 u_x - b u_x u_xx - u u_xxx, each
+    # term a numerator over (1+z)^k, multiplied through by (1+z)^m
+    m = max(kxxt, 2 * k0 + k1, k1 + k2, k0 + k3)
     total = add(
-        mul(Pt, pow_(w, 4)),
-        mul(con(-1), Pxxt, pow_(w, 2)),
-        mul(add(b, con(1)), P0, P0, P1),
-        mul(con(-1), b, P1, P2),
-        mul(con(-1), P0, P3),
+        mul(Pt, pow_(w, m - kt)),
+        mul(con(-1), Pxxt, pow_(w, m - kxxt)),
+        mul(add(b, con(1)), P0, P0, P1, pow_(w, m - 2 * k0 - k1)),
+        mul(con(-1), b, P1, P2, pow_(w, m - k1 - k2)),
+        mul(con(-1), P0, P3, pow_(w, m - k0 - k3)),
     )
     groups = _collect_powers(total, _CH_VARS)
     return _assemble_system(
         "exponential of the phase", _CH_UNKNOWNS, groups,
         _CH_VARS[1:], ("amp", "mu"),
-        "multiplied by (1+z)^7; amp/mu monomial factors stripped "
+        f"multiplied by (1+z)^{m}; amp/mu monomial factors stripped "
         "(both are nonzero by construction); rational content removed")
 
 
@@ -323,14 +300,13 @@ def rational_hyperbolic_build(a0, a1, a2, c1, c2, lam) -> Expr:
 
 
 _HYP_UNKNOWNS = ("lam", "a0", "a1", "a2", "c1", "c2")
-_HYP_VARS = ("z", "lam", "a0", "a1", "a2", "c1", "c2", "b")
+_HYP_VARS = ("z",) + _HYP_UNKNOWNS + ("b",)
 
 
 @functools.cache
 def rational_hyperbolic_system() -> AlgebraicSystem:
     """Coefficient system of the rational hyperbolic route."""
-    z = Sym("z")
-    lam, a0, a1, a2, c1, c2, b = (Sym(s) for s in _HYP_VARS[1:])
+    z, lam, a0, a1, a2, c1, c2, b = (Sym(s) for s in _HYP_VARS)
     # numerator and denominator scaled by 2 e^xi, in z = e^xi
     P = add(mul(add(a1, a2), pow_(z, 2)), mul(con(2), a0, z),
             add(a2, mul(con(-1), a1)))
@@ -376,9 +352,7 @@ _TC_VARS = _TC_UNKNOWNS + ("b",)
 @functools.cache
 def tanh_coth_system() -> AlgebraicSystem:
     """Coefficient system of the quadratic-ODE kernel route."""
-    cleared = laurent_residual(*(Sym(n) for n in
-                                 ("a0", "a1", "a2", "c1", "c2", "alpha",
-                                  "beta", "gamma", "lam", "b")))
+    cleared = laurent_residual(**{n: Sym(n) for n in _TC_VARS})
     groups = _collect_powers(cleared, ("phi",) + _TC_VARS)
     return _assemble_system(
         "kernel function of the quadratic ODE", _TC_UNKNOWNS,
@@ -405,26 +379,20 @@ def _sqrt_checked(v, what: str):
 
 def _ch_env(sign: int, b: float, mu: float) -> dict[str, float]:
     s = _sqrt_checked(1 - b * (b + 2) * (mu ** 4 - 1), "exponential map")
-    return {
-        "amp": -6 * (b + 2) / (b + 1),
-        "bg": (2 * mu ** 2 - 1 + b * (mu ** 2 - 1) + sign * s)
-        / (2 * (b + 1)),
-        "mu": mu,
-        "lam": -mu * (b + 1 - sign * s) / 2,
-        "b": b,
-    }
+    values = (-6 * (b + 2) / (b + 1),
+              (2 * mu ** 2 - 1 + b * (mu ** 2 - 1) + sign * s)
+              / (2 * (b + 1)),
+              mu,
+              -mu * (b + 1 - sign * s) / 2)
+    return dict(zip(_CH_UNKNOWNS, values, strict=True), b=b)
 
 
-def _hyp_env(b: float, lam, a0, a1, a2, c1, c2) -> dict[str, float]:
-    return {"lam": lam, "a0": a0, "a1": a1, "a2": a2, "c1": c1,
-            "c2": c2, "b": b}
+def _hyp_env(b: float, *values) -> dict[str, float]:
+    return dict(zip(_HYP_UNKNOWNS, values, strict=True), b=b)
 
 
-def _tc_env(b: float, lam, a0, a1, a2, c1, c2, alpha, beta,
-            gamma) -> dict[str, float]:
-    return {"lam": lam, "a0": a0, "a1": a1, "a2": a2, "c1": c1,
-            "c2": c2, "alpha": alpha, "beta": beta, "gamma": gamma,
-            "b": b}
+def _tc_env(b: float, *values) -> dict[str, float]:
+    return dict(zip(_TC_UNKNOWNS, values, strict=True), b=b)
 
 
 def _env_u78(sign: int, b: float, a2: float) -> dict[str, float]:

@@ -483,13 +483,11 @@ def run(inst: FamilyInstance, cfg: SimConfig, grid: Grid) -> SimReport:
 def write_snapshots_csv(report: SimReport, path: str) -> None:
     """CSV blocks `t,x,u_numeric,u_exact,error`, one row per node per
     snapshot time, floats in shortest round-trip form."""
-    dx = report.length / report.n
+    xs = Grid(report.n, report.length).nodes().tolist()
     lines = ["t,x,u_numeric,u_exact,error"]
     for snap in report.snapshots:
-        for j in range(report.n):
-            xj = -0.5 * report.length + j * dx
-            un = float(snap.u_numeric[j])
-            ue = float(snap.u_exact[j])
+        for xj, un, ue in zip(xs, snap.u_numeric.tolist(),
+                              snap.u_exact.tolist(), strict=True):
             lines.append(f"{snap.t!r},{xj!r},{un!r},{ue!r},{un - ue!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

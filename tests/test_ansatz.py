@@ -19,7 +19,7 @@ import pytest
 
 from mdpv.ansatz import (
     BALANCE_PAIRS, CHOSEN_DEGREE, CLEARING_POWER, _SYSTEM_BUILDERS,
-    AlgebraicSystem, _quotient_step, _term_value, balance_m, cole_hopf_build,
+    _assemble_system, _quotient_step, _term_value, balance_m, cole_hopf_build,
     cole_hopf_system, draw_aux, family_system_env, laurent_residual,
     rational_hyperbolic_build, rational_hyperbolic_system,
     system_for_family, tanh_coth_system,
@@ -27,8 +27,8 @@ from mdpv.ansatz import (
 from mdpv.catalog import ROUTES, draw_params, family_ids, profile_with_values
 from mdpv import polytools as pt
 from mdpv.expr import (
-    Add, EvalError, Sym, add, con, diff, evaluate, free_symbols, mul, parse,
-    pointwise_equal, pow_, sin,
+    Add, Sym, add, con, diff, evaluate, free_symbols, mul, parse,
+    pointwise_equal, pow_,
 )
 from mdpv.cli import B_LIST, SYSTEM_TOL
 from mdpv.residual import modified_eq, ode_residual, within_tolerance
@@ -395,7 +395,7 @@ def test_term_table_reproduces_evaluate():
     for fid, env in _system_checks():
         S = system_for_family(fid)
         values = []
-        for eq, rows in zip(S.equations, S._terms):
+        for eq, rows in zip(S.equations, S.terms):
             want = [evaluate(t, env)
                     for t in (eq.terms if isinstance(eq, Add) else (eq,))]
             got = [_term_value(row, env) for row in rows]
@@ -414,27 +414,32 @@ def test_term_table_reproduces_evaluate():
         assert repr(S.scale_at(env)) == repr(scale), fid
 
 
-def test_term_table_overflows_and_fails_as_evaluate_does():
-    eq = parse("2*x^3*y - x^2 + y/x")
-    S = AlgebraicSystem("z", ("x", "y"), (0,), (eq,), "", (0,))
+def test_term_table_overflows_as_evaluate_does():
+    eq = parse("2*x^3*y - x^2")
+    S = _assemble_system("z", ("x", "y"), {0: pt.to_poly(eq, ("x", "y"))},
+                         ("x", "y"), (), "")
     env = {"x": -1e200, "y": 1.0}
-    assert [repr(_term_value(row, env)) for row in S._terms[0]] == \
-        [repr(evaluate(t, env)) for t in eq.terms] == \
-        ["-inf", "-inf", "-1e-200"]
-    for env, message in (({"x": 0.0, "y": 1.0}, "division by zero"),
-                         ({"x": 1.0}, "unbound symbol 'y'")):
-        with pytest.raises(EvalError, match=message) as want:
-            evaluate(eq, env)
-        with pytest.raises(EvalError, match=message) as got:
-            S.scale_at(env)
-        assert str(got.value) == str(want.value)
+    (eq,) = S.equations
+    assert [repr(_term_value(row, env)) for row in S.terms[0]] == \
+        [repr(evaluate(t, env)) for t in eq.terms] == ["-inf", "-inf"]
 
 
-def test_term_table_refuses_a_factor_that_is_not_a_monomial():
-    eq = add(1, sin(Sym("x")))
-    S = AlgebraicSystem("z", ("x",), (0,), (eq,), "", (0,))
-    with pytest.raises(TypeError):
-        S.max_abs_at({"x": 1.0})
+@pytest.mark.parametrize("route", _SYSTEM_BUILDERS)
+def test_term_rows_and_distinct_read_the_polynomials(route):
+    # each row is a graded-lex term of its equation's polynomial, the
+    # coefficient as a float and then each nonzero exponent in variable
+    # order; distinct keeps the first of each equal polynomial
+    S = _SYSTEM_BUILDERS[route]()
+    names = S.unknowns + ("b",)
+    polys = [pt.to_poly(eq, names) for eq in S.equations]
+    assert list(S.terms) == [
+        tuple((float(c),) + tuple((n, e) for n, e in zip(names, m) if e)
+              for m, c in pt.graded_lex_terms(poly))
+        for poly in polys]
+    first: dict = {}
+    for i, poly in enumerate(polys):
+        first.setdefault(frozenset(poly.items()), i)
+    assert S.distinct == tuple(first.values())
 
 
 def test_unknown_family_rejected():
