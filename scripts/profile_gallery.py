@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from mdpv.catalog import FamilyInstance, draw_params, family_ids
+from mdpv.catalog import FamilyInstance, draw_params, family_ids, family_rng
 from mdpv.expr import evaluate
 from mdpv.residual import EXCLUSION_RADIUS
 
@@ -35,8 +35,7 @@ def main(argv=None) -> int:
 
     lines = ["family,speed,params,xi,u"]
     for fid in family_ids():
-        rng = np.random.default_rng([args.seed, int(fid[1:])])
-        params = draw_params(fid, rng, args.b)
+        params = draw_params(fid, family_rng(args.seed, fid), args.b)
         instance = FamilyInstance(fid, args.b, params)
         profile = instance.profile()
         speed = instance.speed()

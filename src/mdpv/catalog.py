@@ -30,7 +30,6 @@ import functools
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .expr import (
     Expr, Fraction, cos, cosh, cot, csc, evaluate, evaluate_exact, exp,
@@ -41,14 +40,11 @@ from .residual import (
     distinct_points, find_zeros, ode_residual, require_valid_b, scan,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "Family", "FamilyInstance", "family", "family_ids",
     "profile_with_values", "speed_value", "is_valid", "require_parameters",
-    "singular_points", "verify_family", "draw_params", "method_tag",
-    "catalog_manifest", "ROUTES", "printed_u10",
+    "singular_points", "verify_family", "draw_params", "family_rng",
+    "method_tag", "catalog_manifest", "ROUTES", "printed_u10",
 ]
 
 XI = sym("xi")
@@ -520,9 +516,10 @@ class FamilyInstance:
                                window)
 
 
-def draw_params(fid: str, rng: np.random.Generator, b: float) -> dict:
+def draw_params(fid: str, rng, b: float) -> dict:
     """One admissible parameter draw (family-specific strategy with
-    safety margins away from constraint boundaries)."""
+    safety margins away from constraint boundaries) from `rng`, any
+    object with `uniform(low, high)` and `choice(seq)`."""
     fam = family(fid)
     for _ in range(100):
         params = fam.draw(rng, b)
@@ -530,6 +527,13 @@ def draw_params(fid: str, rng: np.random.Generator, b: float) -> dict:
         if ok:
             return params
     raise ValueError(f"{fid} has no admissible parameter draw at b = {b:g}")
+
+
+def family_rng(seed: int, fid: str):
+    """The stream of one family's draws at a seed: its entropy is the
+    seed and the family number."""
+    from .rng import Stream
+    return Stream([seed, int(fid[1:])])
 
 
 # construction route that generated each family, spelled as the CLI's

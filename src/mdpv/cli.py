@@ -41,23 +41,21 @@ import os
 import re
 import sys
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .catalog import (
     ROUTES, FamilyInstance, catalog_manifest, draw_params, family,
-    family_ids, is_valid, method_tag, require_parameters, verify_family,
+    family_ids, family_rng, is_valid, method_tag, require_parameters,
+    verify_family,
 )
 from .expr import EvalError, ExprError, evaluate, free_symbols, parse
 from .residual import SCAN_N, SCAN_TOL, SCAN_WINDOW, VARIANTS, \
     ResidualReport, ode_residual, require_valid_b, scan, within_tolerance
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # mdpv.ansatz, mdpv.riccati and mdpv.sim are imported inside the
-# commands that call them, and numpy by the first array computation,
-# so that no other command loads them
+# commands that call them, mdpv.rng by the first parameter draw, and
+# numpy by the first array computation, so that no other command loads
+# them
 
 __all__ = [
     "main", "render_json", "UsageError", "ValidityError",
@@ -221,10 +219,11 @@ def _tolerance(text: str) -> float:
 
 
 def _integer(lower: int, upper: float = math.inf):
-    """argparse type of an integer flag, `lower` to `upper`.  numpy
-    seeds only from a non-negative integer; a count starts at 1, as zero
-    draws would scan nothing and report a pass and a scan needs a point,
-    and a count past its budget asks for a run with no useful end."""
+    """argparse type of an integer flag, `lower` to `upper`.  A seed
+    is a non-negative integer, as `mdpv.rng` splits it into 32-bit
+    words; a count starts at 1, as zero draws would scan nothing and
+    report a pass and a scan needs a point, and a count past its budget
+    asks for a run with no useful end."""
     def integer(text: str) -> int:
         try:
             v = int(text)
@@ -295,14 +294,8 @@ def _provided(fid: str, pairs) -> dict[str, float]:
     return provided
 
 
-def _family_rng(seed: int, fid: str) -> np.random.Generator:
-    import numpy as np
-    return np.random.default_rng([seed, int(fid[1:])])
-
-
 def _resolve_param_sets(fid: str, b: float, provided: dict[str, float],
-                        rng: np.random.Generator, draws: int
-                        ) -> list[dict[str, float]]:
+                        rng, draws: int) -> list[dict[str, float]]:
     """The explicit values, if admissible (`_provided` checked their
     names); else `draws` admissible sets from `rng`, or one empty set."""
     names = family(fid).parameters
@@ -398,7 +391,7 @@ def _verify_expression(args) -> int:
 
 
 def _scan_rows(fid: str, b: float, provided: dict[str, float],
-               rng: np.random.Generator, draws: int,
+               rng, draws: int,
                window: tuple[float, float], n: int, tol: float,
                variant: str):
     """Residual scans of one family at one b: yields a report row and
@@ -425,7 +418,7 @@ def cmd_verify(args) -> int:
     results = []
     for fid in family_ids() if target == "all" else [target]:
         for row, line in _scan_rows(fid, args.b, provided,
-                                    _family_rng(args.seed, fid),
+                                    family_rng(args.seed, fid),
                                     args.draws, args.window, args.n,
                                     args.tol, args.variant):
             _print(line)
@@ -505,7 +498,7 @@ def cmd_riccati_audit(args) -> int:
 
 def _system_rows(fid: str, system, b_values: list[float],
                  provided: dict[str, float], perturb: dict[str, float],
-                 rng: np.random.Generator, draws: int, tol: float):
+                 rng, draws: int, tol: float):
     """Evaluate the route's system at each parameter set of one family,
     all b values drawn from one `rng`: yields a check row and its text
     line per set."""
@@ -557,7 +550,7 @@ def cmd_system_verify(args) -> int:
            f" {len(system.distinct)} distinct)")
     checks = []
     for row, line in _system_rows(fid, system, args.b, provided, perturb,
-                                  _family_rng(args.seed, fid), args.draws,
+                                  family_rng(args.seed, fid), args.draws,
                                   args.tol):
         _print(line)
         checks.append(row)
@@ -599,10 +592,10 @@ def cmd_audit(args) -> int:
         # does; the system checks one stream across the b list, as
         # `system-verify --b LIST` does
         rows = [pair for b in args.b for pair in _scan_rows(
-            fid, b, {}, _family_rng(args.seed, fid), args.draws,
+            fid, b, {}, family_rng(args.seed, fid), args.draws,
             SCAN_WINDOW, SCAN_N, SCAN_TOL, "mdp")]
         checks = list(_system_rows(fid, system_for_family(fid), args.b,
-                                   {}, {}, _family_rng(args.seed, fid),
+                                   {}, {}, family_rng(args.seed, fid),
                                    args.draws, SYSTEM_TOL))
         for row, line in rows + checks:
             if not row["passed"]:
@@ -654,7 +647,7 @@ def cmd_simulate(args) -> int:
         snapshot_steps(config, grid)
         _valid_b(args.b)
         params = _resolve_param_sets(fid, args.b, provided,
-                                     _family_rng(args.seed, fid), 1)[0]
+                                     family_rng(args.seed, fid), 1)[0]
         report = run(FamilyInstance(fid, args.b, params), config, grid)
     except InadmissibleFamilyError as exc:
         raise ValidityError(str(exc)) from None

@@ -25,8 +25,9 @@ walker is a loop over it that fills a dict keyed by node, so tree depth
 is not bounded by the interpreter's recursion limit.
 `evaluate`, `evaluate_exact`, formatting and the parser keep no memo
 and recurse directly; `parse` bounds the depth of trees read from text.
-Only `compile_fn` and `pointwise_equal` compute with arrays, and they
-import numpy when first called, so importing the kernel loads none.
+Only `compile_fn` computes with arrays (`pointwise_equal` through it),
+and it imports numpy when first called, so importing the kernel loads
+none.
 """
 
 from __future__ import annotations
@@ -1282,13 +1283,13 @@ def pointwise_equal(e1: Expr, e2: Expr,
     """Sampling oracle for semantic equality: at n seeded points in the
     boxed domain, |e1 - e2| <= tol*(1 + max(|e1|,|e2|)) must hold.
     Points where either side is non-finite are rejected and redrawn."""
-    import numpy as np
+    from .rng import Stream
 
     names = sorted(free_symbols(e1) | free_symbols(e2))
     for nm in names:
         if nm not in domain:
             raise ValueError(f"no domain declared for symbol '{nm}'")
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     f = compile_fn((e1, e2), names)
     checked = 0
     attempts = 0

@@ -208,7 +208,8 @@ def _admissible_points(branch_poles, n, seed) -> np.ndarray:
     poles: list[float] = []
     for d in branch_poles:
         poles.extend(find_zeros(d, "xi", WINDOW))
-    rng = np.random.default_rng(seed)
+    from .rng import Stream
+    rng = Stream(seed)
     pts: list[float] = []
     attempts = 0
     while len(pts) < n:

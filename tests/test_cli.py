@@ -120,7 +120,7 @@ def test_render_json_rejects_nonfinite():
     ["system-verify", "--method", "colehopf", "--family", "u1",
      "--draws", str(MAX_DRAWS + 1), "--json"],
     ["audit", "--b", "3", "--draws", str(MAX_DRAWS + 1), "--json"],
-    # numpy seeds only from a non-negative integer
+    # a seed is a non-negative integer, split into 32-bit words
     ["verify", "--family", "u1", "--b", "3", "--seed", "-1"],
     # a threshold that is not positive would end a healthy run at once
     ["simulate", "--family", "u6", "--blowup-threshold", "0", "--json"],
@@ -797,7 +797,8 @@ def _fresh_interpreter(code: str) -> str:
 def test_cli_import_builds_and_loads_only_what_every_command_uses():
     probe = ("import sys, mdpv.cli; from mdpv.catalog import family;"
              " print(sorted(m for m in ('mdpv.ansatz', 'mdpv.polytools',"
-             " 'mdpv.riccati', 'mdpv.sim', 'numpy') if m in sys.modules),"
+             " 'mdpv.riccati', 'mdpv.rng', 'mdpv.sim', 'numpy')"
+             " if m in sys.modules),"
              " family.cache_info().currsize)")
     assert _fresh_interpreter(probe) == "[] 0"
 
@@ -806,10 +807,19 @@ def test_cli_import_builds_and_loads_only_what_every_command_uses():
     (["list", "--json"], "0 False"),
     (["verify", "--expr", "sin(", "--b", "3"], "1 False"),
     (["verify", "--expr", "1/xi", "--b", "3"], "3 True"),
+    (["system-verify", "--method", "colehopf", "--family", "u2", "--json"],
+     "0 False"),
+    (["system-verify", "--method", "hyperbolic", "--family", "u7",
+      "--json"], "0 False"),
+    (["system-verify", "--method", "tanhcoth", "--family", "u22",
+      "--json"], "0 False"),
+    (["system-verify", "--method", "tanhcoth", "--family", "u20",
+      "--perturb", "a0=1e-3", "--json"], "3 False"),
 ])
 def test_numpy_loads_at_the_first_array_computation(argv, want):
-    # a command that computes no array, a parse error among them, starts
-    # and ends without numpy; the exit code comes first
+    # a command that computes no array, a parse error or a system check
+    # among them, starts and ends without numpy; the exit code comes
+    # first
     probe = (f"import sys; from mdpv import cli; code = cli.main({argv!r});"
              " print(code, 'numpy' in sys.modules)")
     assert _fresh_interpreter(probe) == want

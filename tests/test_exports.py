@@ -14,7 +14,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(mdpv.__path__,
 
 def test_every_module_is_listed():
     assert {"mdpv.ansatz", "mdpv.catalog", "mdpv.cli", "mdpv.expr",
-            "mdpv.polytools", "mdpv.residual", "mdpv.riccati",
+            "mdpv.polytools", "mdpv.residual", "mdpv.riccati", "mdpv.rng",
             "mdpv.sim"} <= set(MODULES)
 
 

@@ -406,6 +406,22 @@ def test_step_stage_overflow_is_a_blow_up():
     assert err.value.t == pytest.approx(1e-3)
 
 
+def test_step_nan_stage_is_a_blow_up():
+    # a NaN entry reaches every node through the transforms, and np.max
+    # carries it into the peak, so the one comparison reports it
+    g = Grid(128, 20.0)
+    u = np.full(128, 0.4)
+    u[5] = np.nan
+    s = SimState(0.0, u, 0.0)
+    cfg = SimConfig(b=3.0, dt=1e-3, t_final=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as err:
+            step_rk4(s, cfg, g)
+    assert err.value.t == pytest.approx(1e-3)
+    assert math.isnan(err.value.peak)
+
+
 def test_time_reversal_returns_initial_data():
     inst = _u6()
     g = Grid(256, 40.0)
