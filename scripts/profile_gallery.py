@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from mdpv.catalog import FamilyInstance, draw_params, family_ids, family_rng
+from mdpv.cli import _integer, _join_negative_values, _window
 from mdpv.expr import evaluate
 from mdpv.residual import EXCLUSION_RADIUS
 
@@ -25,12 +26,13 @@ from mdpv.residual import EXCLUSION_RADIUS
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--b", type=float, default=3.0)
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--window", default="-10,10")
-    ap.add_argument("--n", type=int, default=401)
+    ap.add_argument("--seed", type=_integer(0), default=42)
+    ap.add_argument("--window", type=_window, default="-10,10")
+    ap.add_argument("--n", type=_integer(1), default=401)
     ap.add_argument("--out", default="profiles.csv")
-    args = ap.parse_args(argv)
-    lo, hi = (float(v) for v in args.window.split(","))
+    args = ap.parse_args(_join_negative_values(
+        sys.argv[1:] if argv is None else argv))
+    lo, hi = args.window
     xs = np.linspace(lo, hi, args.n)
 
     lines = ["family,speed,params,xi,u"]

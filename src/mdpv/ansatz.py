@@ -58,8 +58,6 @@ __all__ = [
 # linear dispersive part carries m+3 at ansatz degree m.
 BALANCE_PAIRS = (((3, 1), (2, 1)), ((3, 1), (1, 1)), ((2, 1), (1, 3)))
 
-CHOSEN_DEGREE = 2  # degree 0 only reproduces constant states
-
 
 def balance_m() -> set[int]:
     """Nonnegative integer degrees at which two leading exponent laws
@@ -70,6 +68,9 @@ def balance_m() -> set[int]:
         if den != 0 and num % den == 0 and num // den >= 0:
             out.add(num // den)
     return out
+
+
+CHOSEN_DEGREE = max(balance_m())  # degree 0 only reproduces constant states
 
 
 # ---------------------------------------------------------------------
@@ -131,7 +132,8 @@ class AlgebraicSystem:
         return scale
 
     def holds_exactly(self, env: dict[str, Fraction]) -> bool:
-        return all(evaluate_exact(eq, env) == 0 for eq in self.equations)
+        # one walk for all equations: their monomials share subtrees
+        return all(v == 0 for v in evaluate_exact(self.equations, env))
 
     def dump(self) -> list[dict]:
         return [{"power": p, "coefficient": format_expr(eq)}
@@ -326,7 +328,7 @@ def rational_hyperbolic_system() -> AlgebraicSystem:
 # ---------------------------------------------------------------------
 # route 3: quadratic-ODE kernel expansion
 
-CLEARING_POWER = 7  # 3*CHOSEN_DEGREE + 1: lowest/highest kernel power
+CLEARING_POWER = 3 * CHOSEN_DEGREE + 1  # lowest/highest kernel power
 
 
 def laurent_residual(a0, a1, a2, c1, c2, alpha, beta, gamma, lam,

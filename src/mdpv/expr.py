@@ -17,14 +17,18 @@ Trees are immutable and hash-consed: construction looks a node up in a
 weak table keyed by its class and fields, so structurally equal trees
 are one object and equality is identity (Filliatre & Conchon, "Type-Safe
 Modular Hash-Consing", 2006).  Exact and float constants stay distinct.
-A node leaves the table when its last reference goes.  Each node also
-carries a deterministic structural hash, independent of PYTHONHASHSEED,
-that orders factors in `simplify`.  `children` is the one description
-of the node layout and `postorder` the one traversal: each memoized
-walker is a loop over it that fills a dict keyed by node, so tree depth
-is not bounded by the interpreter's recursion limit.
-`evaluate`, `evaluate_exact`, formatting and the parser keep no memo
-and recurse directly; `parse` bounds the depth of trees read from text.
+A node leaves the table when its last reference goes.  As a dict key a
+node hashes by identity, which hash-consing makes structural; its
+`shash`, a deterministic structural hash independent of PYTHONHASHSEED,
+orders factors in `simplify`.  `children` is the one description of the
+node layout and `postorder` the one traversal.  `evaluate`,
+`evaluate_exact`, `diff`, `substitute_map` and the emitter of
+`compile_fn` are each a table of one rule per node class on one fold
+over it, `_fold`, which fills a dict keyed by node: a shared subtree is
+computed once, and tree depth is not bounded by the interpreter's
+recursion limit.  `simplify` re-enters its own walk over `postorder`;
+formatting and the parser recurse, and `parse` bounds the depth of
+trees read from text.
 Only `compile_fn` computes with arrays (`pointwise_equal` through it),
 and it imports numpy when first called, so importing the kernel loads
 none.
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 import weakref
 from fractions import Fraction
@@ -135,9 +140,6 @@ class Expr:
 
     def __neg__(self):
         return mul(-1, self)
-
-    def __hash__(self):
-        return self.shash
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -252,15 +254,14 @@ class Call(Expr):
 
 def children(e: Expr) -> tuple:
     """Operands of a node, left to right; () for constants and symbols."""
-    if isinstance(e, Add):
-        return e.terms
-    if isinstance(e, Mul):
-        return e.factors
-    if isinstance(e, Pow):
-        return (e.base, e.exponent)
-    if isinstance(e, Call):
-        return (e.arg,)
-    return ()
+    return _OPERANDS[type(e)](e)
+
+
+_OPERANDS = {
+    Const: lambda e: (), Sym: lambda e: (),
+    Add: operator.attrgetter("terms"), Mul: operator.attrgetter("factors"),
+    Pow: operator.attrgetter("base", "exponent"), Call: lambda e: (e.arg,),
+}
 
 
 def postorder(e: Expr, done: Container = ()) -> Iterator[Expr]:
@@ -277,7 +278,7 @@ def postorder(e: Expr, done: Container = ()) -> Iterator[Expr]:
             yield stack.pop()
         elif node not in done and node not in seen:
             seen.add(node)
-            kids = children(node)
+            kids = _OPERANDS[type(node)](node)
             if kids:
                 stack += (node, _READY)
                 stack.extend(reversed(kids))
@@ -287,6 +288,20 @@ def postorder(e: Expr, done: Container = ()) -> Iterator[Expr]:
 
 # stack marker: the entry below it is a node whose operands are done
 _READY = object()
+
+
+def _fold(e: Expr | tuple[Expr, ...], rules: Mapping[type, Callable],
+          memo: dict):
+    """The value of e, or the tuple of values of a tuple of expressions:
+    memo[node] = rules[type(node)](node, memo) for each node that `memo`
+    lacks, in `postorder`, each rule reading its operands' values from
+    `memo`.  The first node whose rule raises is the one a left-to-right
+    recursion would reach first, and a shared node is computed once."""
+    roots = e if isinstance(e, tuple) else (e,)
+    for root in roots:
+        for node in postorder(root, memo):
+            memo[node] = rules[type(node)](node, memo)
+    return tuple(memo[r] for r in roots) if isinstance(e, tuple) else memo[e]
 
 
 # ---------------------------------------------------------------------
@@ -771,65 +786,76 @@ def format_expr(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------
-# evaluation
+# evaluation, differentiation and substitution: each is a table of rules
+# on `_fold`, completed per call by a rule for symbols
 
-def evaluate(e: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate to a float.  Unbound symbols and domain violations (a
-    function off its domain at a real point, division by zero) raise
-    EvalError naming the offending subexpression; overflow saturates to
-    inf and non-finite values propagate."""
-    if isinstance(e, Const):
-        return _float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise EvalError(f"unbound symbol '{e.name}'", e) from None
-    if isinstance(e, Add):
-        try:
-            return math.fsum(evaluate(t, env) for t in e.terms)
-        except ValueError:   # -inf + inf
-            return math.nan
-        except OverflowError:
-            return math.inf
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= evaluate(f, env)
-        return out
-    if isinstance(e, Pow):
-        b = evaluate(e.base, env)
-        ex = e.exponent
-        if isinstance(ex, Const) and ex.is_rational and \
-                ex.value.denominator == 1:
-            x = int(ex.value)
-        else:
-            x = evaluate(ex, env)
-            if b < 0.0 and math.isfinite(x) and x != int(x):
-                raise EvalError("negative base with fractional exponent", e)
-        if b == 0.0 and x < 0:
-            raise EvalError("division by zero", e)
-        try:
-            return b ** x
-        except OverflowError:
-            # a negative base has a whole exponent here
-            return math.inf if b > 0 or x % 2 == 0 else -math.inf
-    if isinstance(e, Call):
-        a = evaluate(e.arg, env)
-        fn = _FUNCTION_TABLE[e.fn].value
-        try:
-            return fn(a)
-        except OverflowError:
-            # exp, sinh and cosh, the functions that overflow, keep one
-            # sign on each side of 0
-            return math.copysign(math.inf, fn(math.copysign(1.0, a)))
-        except ValueError:
-            # off the domain: an error at a real point, while a
-            # non-finite argument propagates as nan
-            if math.isfinite(a):
-                raise EvalError(f"{e.fn} off its domain", e) from None
-            return math.nan
-    raise TypeError(type(e))
+def _float_sum(t: Add, v: Mapping) -> float:
+    try:
+        return math.fsum(map(v.__getitem__, t.terms))
+    except ValueError:   # -inf + inf
+        return math.nan
+    except OverflowError:
+        return math.inf
+
+
+def _float_power(t: Pow, v: Mapping) -> float:
+    b = v[t.base]
+    ex = t.exponent
+    if isinstance(ex, Const) and ex.is_rational and ex.value.denominator == 1:
+        x = int(ex.value)
+    else:
+        x = v[ex]
+        if b < 0.0 and math.isfinite(x) and x != int(x):
+            raise EvalError("negative base with fractional exponent", t)
+    if b == 0.0 and x < 0:
+        raise EvalError("division by zero", t)
+    try:
+        return b ** x
+    except OverflowError:
+        # a negative base has a whole exponent here
+        return math.inf if b > 0 or x % 2 == 0 else -math.inf
+
+
+def _float_call(t: Call, v: Mapping) -> float:
+    a = v[t.arg]
+    fn = _FUNCTION_TABLE[t.fn].value
+    try:
+        return fn(a)
+    except OverflowError:
+        # exp, sinh and cosh, the functions that overflow, keep one
+        # sign on each side of 0
+        return math.copysign(math.inf, fn(math.copysign(1.0, a)))
+    except ValueError:
+        # off the domain: an error at a real point, while a
+        # non-finite argument propagates as nan
+        if math.isfinite(a):
+            raise EvalError(f"{t.fn} off its domain", t) from None
+        return math.nan
+
+
+_FLOAT_RULES = {
+    Const: lambda t, _: _float(t.value), Add: _float_sum,
+    Mul: lambda t, v: math.prod(map(v.__getitem__, t.factors), start=1.0),
+    Pow: _float_power, Call: _float_call,
+}
+
+
+def _bound(env: Mapping, t: Sym):
+    # the value env binds to symbol t
+    try:
+        return env[t.name]
+    except KeyError:
+        raise EvalError(f"unbound symbol '{t.name}'", t) from None
+
+
+def evaluate(e: Expr | tuple[Expr, ...], env: Mapping[str, float]):
+    """Evaluate to a float, or a tuple of expressions to a tuple of
+    floats, each shared subtree once.  Unbound symbols and domain
+    violations (a function off its domain at a real point, division by
+    zero) raise EvalError naming the offending subexpression; overflow
+    saturates to inf and non-finite values propagate."""
+    return _fold(e, {**_FLOAT_RULES,
+                      Sym: lambda t, _: float(_bound(env, t))}, {})
 
 
 def _iroot(n: int, q: int) -> int:
@@ -850,124 +876,109 @@ def _exact_root(v: Fraction, q: int) -> Fraction:
     # q-th root of a nonnegative rational, exact or ExactnessError
     if v < 0:
         raise ExactnessError("negative radicand")
-
-    def iroot(n: int) -> int:
-        r = _iroot(n, q)
-        if r ** q != n:
-            raise ExactnessError("not a perfect power")
-        return r
-
-    return Fraction(iroot(v.numerator), iroot(v.denominator))
+    root = Fraction(_iroot(v.numerator, q), _iroot(v.denominator, q))
+    if root ** q != v:
+        raise ExactnessError("not a perfect power")
+    return root
 
 
-def evaluate_exact(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
-    """Evaluate over the rationals.  Raises ExactnessError whenever the
-    value is not provably rational (a float constant, or a function at
-    an argument where its table record has no exact value)."""
-    if isinstance(e, Const):
-        if not e.is_rational:
-            raise ExactnessError("float constant")
-        return e.value
-    if isinstance(e, Sym):
-        try:
-            v = env[e.name]
-        except KeyError:
-            raise EvalError(f"unbound symbol '{e.name}'", e) from None
-        if isinstance(v, float):
-            raise ExactnessError("float binding")
-        return Fraction(v)
-    if isinstance(e, Add):
-        return sum((evaluate_exact(t, env) for t in e.terms), Fraction(0))
-    if isinstance(e, Mul):
-        out = Fraction(1)
-        for f in e.factors:
-            out *= evaluate_exact(f, env)
-        return out
-    if isinstance(e, Pow):
-        b = evaluate_exact(e.base, env)
-        x = evaluate_exact(e.exponent, env)
-        if x.denominator == 1:
-            n = int(x)
-            if b == 0 and n < 0:
-                raise EvalError("division by zero", e)
-            return b ** n
-        root = _exact_root(b, x.denominator)
-        return root ** x.numerator
-    if isinstance(e, Call):
-        return _FUNCTION_TABLE[e.fn].exact(evaluate_exact(e.arg, env))
-    raise TypeError(type(e))
+def _exact_const(t: Const, _) -> Fraction:
+    if not t.is_rational:
+        raise ExactnessError("float constant")
+    return t.value
 
 
-# ---------------------------------------------------------------------
-# differentiation
+def _exact_bound(env: Mapping, t: Sym) -> Fraction:
+    v = _bound(env, t)
+    if isinstance(v, float):
+        raise ExactnessError("float binding")
+    return Fraction(v)
+
+
+def _exact_power(t: Pow, v: Mapping) -> Fraction:
+    b, x = v[t.base], v[t.exponent]
+    if x.denominator == 1:
+        n = int(x)
+        if b == 0 and n < 0:
+            raise EvalError("division by zero", t)
+        return b ** n
+    return _exact_root(b, x.denominator) ** x.numerator
+
+
+_EXACT_RULES = {
+    Const: _exact_const,
+    Add: lambda t, v: sum(map(v.__getitem__, t.terms), Fraction(0)),
+    Mul: lambda t, v: math.prod(map(v.__getitem__, t.factors),
+                                start=Fraction(1)),
+    Pow: _exact_power,
+    Call: lambda t, v: _FUNCTION_TABLE[t.fn].exact(v[t.arg]),
+}
+
+
+def evaluate_exact(e: Expr | tuple[Expr, ...],
+                   env: Mapping[str, Fraction]):
+    """Evaluate over the rationals, or a tuple of expressions to a tuple
+    of values.  Raises ExactnessError whenever the value is not provably
+    rational (a float constant, or a function at an argument where its
+    table record has no exact value)."""
+    return _fold(e, {**_EXACT_RULES,
+                      Sym: lambda t, _: _exact_bound(env, t)}, {})
+
+
+def _diff_product(t: Mul, d: Mapping) -> Expr:
+    fs = t.factors
+    parts = [mul(*fs[:i], d[f], *fs[i + 1:])
+             for i, f in enumerate(fs) if d[f] is not ZERO]
+    return add(*parts) if parts else ZERO
+
+
+def _diff_power(t: Pow, d: Mapping) -> Expr:
+    b, x = t.base, t.exponent
+    db, dx = d[b], d[x]
+    if dx is ZERO:
+        # d(b^c) = c*b^(c-1)*db
+        return mul(x, pow_(b, add(x, -1)), db) if db is not ZERO else ZERO
+    # general: b^x * (dx*log(b) + x*db/b)
+    return mul(t, add(mul(dx, log(b)), mul(x, db, pow_(b, -1))))
+
+
+def _diff_call(t: Call, d: Mapping) -> Expr:
+    da = d[t.arg]
+    if da is ZERO:
+        return ZERO
+    return mul(_FUNCTION_TABLE[t.fn].deriv(t, t.arg), da)
+
+
+_DIFF_RULES = {
+    Const: lambda t, _: ZERO,
+    Add: lambda t, d: add(*map(d.__getitem__, t.terms)),
+    Mul: _diff_product, Pow: _diff_power, Call: _diff_call,
+}
+
 
 def diff(e: Expr, s: Union[str, Sym]) -> Expr:
     """Exact symbolic derivative with respect to one symbol."""
     name = s.name if isinstance(s, Sym) else s
-    memo: dict[Expr, Expr] = {}
-    for t in postorder(e, memo):
-        memo[t] = _diff_node(t, name, memo)
-    return memo[e]
+    return _fold(e, {**_DIFF_RULES, Sym: lambda t, _: (
+        ONE if t.name == name else ZERO)}, {})
 
 
-def _diff_node(t: Expr, name: str, d: Mapping[Expr, Expr]) -> Expr:
-    # derivative of one node, given the derivatives `d` of its operands
-    if isinstance(t, Const):
-        return ZERO
-    if isinstance(t, Sym):
-        return ONE if t.name == name else ZERO
-    if isinstance(t, Add):
-        return add(*[d[x] for x in t.terms])
-    if isinstance(t, Mul):
-        parts = []
-        fs = t.factors
-        for i, f in enumerate(fs):
-            df = d[f]
-            if df is ZERO:
-                continue
-            parts.append(mul(*fs[:i], df, *fs[i + 1:]))
-        return add(*parts) if parts else ZERO
-    if isinstance(t, Pow):
-        b, x = t.base, t.exponent
-        db, dx = d[b], d[x]
-        if dx is ZERO:
-            # d(b^c) = c*b^(c-1)*db
-            return mul(x, pow_(b, add(x, -1)), db) if db is not ZERO else ZERO
-        # general: b^x * (dx*log(b) + x*db/b)
-        return mul(t, add(mul(dx, log(b)), mul(x, db, pow_(b, -1))))
-    if isinstance(t, Call):
-        da = d[t.arg]
-        if da is ZERO:
-            return ZERO
-        return mul(_FUNCTION_TABLE[t.fn].deriv(t, t.arg), da)
-    raise TypeError(type(t))
+# each node rebuilt from its rebuilt operands
+_REBUILD_RULES = {
+    Const: lambda t, _: t,
+    Add: lambda t, r: add(*map(r.__getitem__, t.terms)),
+    Mul: lambda t, r: mul(*map(r.__getitem__, t.factors)),
+    Pow: lambda t, r: pow_(r[t.base], r[t.exponent]),
+    Call: lambda t, r: call(t.fn, r[t.arg]),
+}
 
-
-# ---------------------------------------------------------------------
-# substitution
 
 def substitute_map(e: Expr, mapping: Mapping[str, object]) -> Expr:
     """Replace every occurrence of each mapped symbol, all at once (no
     binders, so replacement is capture-free by construction)."""
     repl = {k: con(v) for k, v in mapping.items()}
-    memo: dict[Expr, Expr] = {}
-    for t in postorder(e, memo):
-        if isinstance(t, Sym):
-            r = repl.get(t.name, t)
-        elif isinstance(t, Const):
-            r = t
-        elif isinstance(t, Add):
-            r = add(*[memo[x] for x in t.terms])
-        elif isinstance(t, Mul):
-            r = mul(*[memo[x] for x in t.factors])
-        elif isinstance(t, Pow):
-            r = pow_(memo[t.base], memo[t.exponent])
-        elif isinstance(t, Call):
-            r = call(t.fn, memo[t.arg])
-        else:
-            raise TypeError(type(t))
-        memo[t] = r
-    return memo[e]
+    return _fold(e, {**_REBUILD_RULES,
+                      Sym: lambda t, _: repl.get(t.name, t)}, {})
 
 
 def free_symbols(e: Expr) -> frozenset[str]:
@@ -1051,7 +1062,7 @@ def _simp(t: Expr, memo: Mapping[Expr, Expr], walk) -> Expr:
         const: Number = Fraction(0)
         order: list[Expr] = []
         buckets: dict[Expr, Number] = {}
-        for term in _flat_add([memo[x] for x in t.terms]):
+        for term in _flat([memo[x] for x in t.terms], Add):
             if isinstance(term, Const):
                 const = _const_add(const, term.value)
                 continue
@@ -1082,7 +1093,7 @@ def _simp(t: Expr, memo: Mapping[Expr, Expr], walk) -> Expr:
         coeff: Number = Fraction(1)
         order: list[Expr] = []
         exps: dict[Expr, Number] = {}
-        for f in _flat_mul([memo[x] for x in t.factors]):
+        for f in _flat([memo[x] for x in t.factors], Mul):
             if isinstance(f, Const):
                 coeff = _const_mul(coeff, f.value)
                 continue
@@ -1105,7 +1116,7 @@ def _simp(t: Expr, memo: Mapping[Expr, Expr], walk) -> Expr:
                 continue
             factors.append(walk(pow_(base, Const(ex))))
         out: list[Expr] = []
-        for f in _flat_mul(factors):  # folded powers may re-expose consts
+        for f in _flat(factors, Mul):  # folded powers may re-expose consts
             if isinstance(f, Const):
                 coeff = _const_mul(coeff, f.value)
             else:
@@ -1143,20 +1154,10 @@ def _simp(t: Expr, memo: Mapping[Expr, Expr], walk) -> Expr:
     raise TypeError(type(t))
 
 
-def _flat_add(items: Iterable[Expr]):
+def _flat(items: Iterable[Expr], cls: type):
+    # the operands of each item of class cls, and every other item
     for it in items:
-        if isinstance(it, Add):
-            yield from it.terms
-        else:
-            yield it
-
-
-def _flat_mul(items: Iterable[Expr]):
-    for it in items:
-        if isinstance(it, Mul):
-            yield from it.factors
-        else:
-            yield it
+        yield from children(it) if isinstance(it, cls) else (it,)
 
 
 # ---------------------------------------------------------------------
@@ -1195,56 +1196,48 @@ def _compile(e: Expr | tuple[Expr, ...],
 
     names: dict[Expr, str] = {}
     lines: list[str] = []
-    var_set = set(variables)
+    params = {v: f"v_{v}" for v in variables}
 
-    def emit(line: str):
-        lines.append("        " + line)
+    def temp(code: str) -> str:
+        # a new temporary, numbered by the nodes named before it
+        ref = f"t{len(names)}"
+        lines.append(f"        {ref} = {code}")
+        return ref
 
-    def fold(ref: str, op: str, operands: Sequence[Expr]):
+    def chain(op: str):
         # `a + b + c` runs as `(a + b) + c`, so continuing the chain on
         # the next line gives the same bits, and no line nests so deep
         # that compiling it overflows the interpreter's recursion limit
-        refs = [names[x] for x in operands]
-        emit(f"{ref} = " + op.join(refs[:_FOLD_CHUNK]))
-        for i in range(_FOLD_CHUNK, len(refs), _FOLD_CHUNK - 1):
-            emit(f"{ref} = " + op.join([ref, *refs[i:i + _FOLD_CHUNK - 1]]))
+        def rule(node: Expr, r: Mapping) -> str:
+            refs = [r[x] for x in children(node)]
+            ref = temp(op.join(refs[:_FOLD_CHUNK]))
+            for i in range(_FOLD_CHUNK, len(refs), _FOLD_CHUNK - 1):
+                lines.append(f"        {ref} = "
+                             + op.join([ref, *refs[i:i + _FOLD_CHUNK - 1]]))
+            return ref
 
-    roots = e if isinstance(e, tuple) else (e,)
-    for node in (n for root in roots for n in postorder(root, names)):
-        if isinstance(node, Const):
-            # np.float64 so 0.0**-3 yields inf under errstate instead of
-            # raising like a bare python float would
-            ref = f"np.float64({_float(node.value)!r})"
-        elif isinstance(node, Sym):
-            if node.name not in var_set:
-                raise EvalError(f"unbound symbol '{node.name}'", node)
-            ref = f"v_{node.name}"
-        else:
-            ref = f"t{len(names)}"
-            if isinstance(node, Add):
-                fold(ref, " + ", node.terms)
-            elif isinstance(node, Mul):
-                fold(ref, " * ", node.factors)
-            elif isinstance(node, Pow):
-                b = names[node.base]
-                ex = node.exponent
-                if isinstance(ex, Const) and ex.is_rational and \
-                        ex.value.denominator == 1:
-                    emit(f"{ref} = {b} ** {int(ex.value)}")
-                elif isinstance(ex, Const) and ex.is_rational and \
-                        ex.value == Fraction(1, 2):
-                    emit(f"{ref} = np.sqrt({b})")
-                else:
-                    emit(f"{ref} = {b} ** ({names[ex]})")
-            elif isinstance(node, Call):
-                numpy = _FUNCTION_TABLE[node.fn].numpy
-                emit(f"{ref} = " + numpy.format(names[node.arg]))
-            else:
-                raise TypeError(type(node))
-        names[node] = ref
+        return rule
 
-    refs = ", ".join(names[root] for root in roots)
-    result = f"({refs},)" if isinstance(e, tuple) else refs
+    def power(node: Pow, r: Mapping) -> str:
+        b, ex = r[node.base], node.exponent
+        if isinstance(ex, Const) and ex.is_rational:
+            if ex.value.denominator == 1:
+                return temp(f"{b} ** {int(ex.value)}")
+            if ex.value == Fraction(1, 2):
+                return temp(f"np.sqrt({b})")
+        return temp(f"{b} ** ({r[ex]})")
+
+    rules = {
+        # np.float64 so 0.0**-3 yields inf under errstate instead of
+        # raising like a bare python float would
+        Const: lambda node, _: f"np.float64({_float(node.value)!r})",
+        Sym: lambda node, _: _bound(params, node),
+        Add: chain(" + "), Mul: chain(" * "), Pow: power,
+        Call: lambda node, r: temp(
+            _FUNCTION_TABLE[node.fn].numpy.format(r[node.arg])),
+    }
+    out = _fold(e, rules, names)
+    result = f"({', '.join(out)},)" if isinstance(e, tuple) else out
     args = ", ".join(f"v_{v}" for v in variables)
     src = (
         f"def _generated({args}):\n"

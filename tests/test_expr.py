@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -642,6 +643,14 @@ def test_deep_chain_runs_every_walker():
     assert isinstance(d, Mul) and len(d.factors) == depth
     s = simplify(d)
     assert simplify(s) is s
+    want = 0.5
+    for i in range(depth):
+        want = (math.sin if i % 2 else math.exp)(want)
+    assert evaluate(chain, {"x": 0.5}) == want
+    sqrt_chain = X
+    for _ in range(depth):
+        sqrt_chain = sqrt(sqrt_chain)
+    assert evaluate_exact(sqrt_chain, {"x": Fraction(1)}) == 1
 
     # the compiled chain and its derivative against the same numpy
     # operations applied in a loop, outermost factor first
@@ -655,6 +664,35 @@ def test_deep_chain_runs_every_walker():
         factor = np.cos(inner[i]) if i % 2 else inner[i + 1]
         prod = factor if prod is None else prod * factor
     assert np.array_equal(compile_fn(d, ["x"])(xs), prod)
+
+
+def test_evaluators_walk_a_shared_subtree_once():
+    # 81 distinct nodes, but 2**40 leaves as a tree
+    d = X
+    for _ in range(40):
+        d = sin(E.add(d, d))
+    assert len(list(E.postorder(d))) == 81
+    t0 = time.perf_counter()
+    v = evaluate(d, {"x": 0.25})
+    assert evaluate_exact(d, {"x": 0}) == 0
+    assert time.perf_counter() - t0 < 1.0
+    want = 0.25
+    for _ in range(40):
+        want = math.sin(want + want)
+    assert v == want
+
+
+def test_tuple_roots_give_each_root_its_own_value():
+    y = sym("y")
+    shared = sin(X) * y
+    roots = (shared + 1, shared, E.pow_(X + y, 3), Const(Fraction(1, 3)))
+    env = {"x": 0.5, "y": -2.0}
+    assert evaluate(roots, env) == tuple(evaluate(r, env) for r in roots)
+    roots = (E.pow_(X + y, 3), (X + 1) * y, Const(Fraction(1, 3)), X + 1)
+    env = {"x": Fraction(1, 2), "y": Fraction(-2)}
+    assert evaluate_exact(roots, env) == tuple(
+        evaluate_exact(r, env) for r in roots)
+    assert evaluate((), env) == evaluate_exact((), env) == ()
 
 
 @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])

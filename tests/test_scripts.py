@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -42,3 +44,22 @@ def test_profile_gallery_writes_csv(tmp_path):
     assert lines[0] == "family,speed,params,xi,u"
     assert len(lines) == 1 + 23 * 41
     assert f"{23 * 41} rows -> {csv}" in out.stdout
+
+
+@pytest.mark.parametrize("args", [["--seed", "-1"], ["--n", "-2"],
+                                  ["--window", "1,x"]])
+def test_profile_gallery_refuses_bad_flags(tmp_path, args):
+    out = run_script("profile_gallery.py", *args, cwd=tmp_path)
+    assert out.returncode == 2
+    errors = [ln for ln in out.stderr.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and args[0] in errors[0]
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "profiles.csv").exists()
+
+
+def test_profile_gallery_takes_a_negative_window(tmp_path):
+    out = run_script("profile_gallery.py", "--window", "-10,10", "--n", "3",
+                     cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    lines = (tmp_path / "profiles.csv").read_text().splitlines()
+    assert [ln.split(",")[3] for ln in lines[1:4]] == ["-10.0", "0.0", "10.0"]
