@@ -18,14 +18,14 @@ import sys
 import numpy as np
 
 from mdpv.catalog import FamilyInstance, draw_params, family_ids, family_rng
-from mdpv.cli import _integer, _join_negative_values, _window
+from mdpv.cli import _finite_float, _integer, _join_negative_values, _window
 from mdpv.expr import evaluate
 from mdpv.residual import EXCLUSION_RADIUS
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--b", type=float, default=3.0)
+    ap.add_argument("--b", type=_finite_float, default=3.0)
     ap.add_argument("--seed", type=_integer(0), default=42)
     ap.add_argument("--window", type=_window, default="-10,10")
     ap.add_argument("--n", type=_integer(1), default=401)
@@ -37,8 +37,12 @@ def main(argv=None) -> int:
 
     lines = ["family,speed,params,xi,u"]
     for fid in family_ids():
-        params = draw_params(fid, family_rng(args.seed, fid), args.b)
-        instance = FamilyInstance(fid, args.b, params)
+        try:
+            params = draw_params(fid, family_rng(args.seed, fid), args.b)
+            instance = FamilyInstance(fid, args.b, params)
+        except ValueError as exc:
+            # no admissible wave at this b: refused as a bad flag value
+            ap.error(f"argument --b: {exc}")
         profile = instance.profile()
         speed = instance.speed()
         poles = instance.singularities((lo - 1.0, hi + 1.0))

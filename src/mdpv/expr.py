@@ -21,14 +21,14 @@ A node leaves the table when its last reference goes.  As a dict key a
 node hashes by identity, which hash-consing makes structural; its
 `shash`, a deterministic structural hash independent of PYTHONHASHSEED,
 orders factors in `simplify`.  `children` is the one description of the
-node layout and `postorder` the one traversal.  `evaluate`,
-`evaluate_exact`, `diff`, `substitute_map` and the emitter of
-`compile_fn` are each a table of one rule per node class on one fold
-over it, `_fold`, which fills a dict keyed by node: a shared subtree is
-computed once, and tree depth is not bounded by the interpreter's
-recursion limit.  `simplify` re-enters its own walk over `postorder`;
-formatting and the parser recurse, and `parse` bounds the depth of
-trees read from text.
+node layout and `postorder` the one traversal.  Every walker is a table
+of one rule per node class on one fold over it, `fold`, which fills a
+dict keyed by node: `evaluate`, `evaluate_exact`, `diff`,
+`substitute_map`, `simplify`, `format_expr`, the emitter of
+`compile_fn`, and `polytools.to_poly`.  So a shared subtree is computed
+once, and tree depth is not bounded by the interpreter's recursion
+limit.  Only the parser recurses, and `parse` bounds the depth of trees
+read from text.
 Only `compile_fn` computes with arrays (`pointwise_equal` through it),
 and it imports numpy when first called, so importing the kernel loads
 none.
@@ -56,7 +56,7 @@ __all__ = [
     "parse", "format_expr", "evaluate", "evaluate_exact",
     "diff", "substitute_map", "simplify",
     "free_symbols", "compile_fn", "pointwise_equal",
-    "children", "postorder", "FUNCTIONS",
+    "children", "postorder", "fold", "FUNCTIONS",
 ]
 
 Number = Union[int, float, Fraction]
@@ -290,8 +290,8 @@ def postorder(e: Expr, done: Container = ()) -> Iterator[Expr]:
 _READY = object()
 
 
-def _fold(e: Expr | tuple[Expr, ...], rules: Mapping[type, Callable],
-          memo: dict):
+def fold(e: Expr | tuple[Expr, ...], rules: Mapping[type, Callable],
+         memo: dict):
     """The value of e, or the tuple of values of a tuple of expressions:
     memo[node] = rules[type(node)](node, memo) for each node that `memo`
     lacks, in `postorder`, each rule reading its operands' values from
@@ -702,92 +702,102 @@ def _paren(s: str, prec: int, want: int) -> str:
     return f"({s})" if prec < want else s
 
 
-def _fmt(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Sym):
-        return e.name, _PREC_ATOM
-    if isinstance(e, Call):
-        inner, _ = _fmt(e.arg)
-        return f"{e.fn}({inner})", _PREC_ATOM
-    if isinstance(e, Pow):
-        ex = e.exponent
-        if isinstance(ex, Const) and ex.is_rational and ex.value < 0:
-            inv, p = _fmt(pow_(e.base, Const(-ex.value)))
-            return f"1/{_paren(inv, p, _PREC_POW)}", _PREC_MUL
-        bs, bp = _fmt(e.base)
-        bs = _paren(bs, bp, _PREC_ATOM)
-        if isinstance(ex, Const) and ex.is_rational and \
-                ex.value.denominator == 1 and ex.value >= 0:
-            return f"{bs}^{ex.value.numerator}", _PREC_POW
-        es, _ = _fmt(ex)
-        return f"{bs}^({es})", _PREC_POW
-    if isinstance(e, Mul):
-        num_parts: list[str] = []
-        den_parts: list[str] = []
-        negative = False
-        coeff: Number | None = None
-        for f in e.factors:
-            if isinstance(f, Const):
-                v = f.value
-                if v < 0:
-                    negative = not negative
-                    v = -v
-                coeff = v if coeff is None else _const_mul(coeff, v)
-            elif isinstance(f, Pow) and isinstance(f.exponent, Const) and \
-                    f.exponent.is_rational and f.exponent.value < 0:
-                inv = pow_(f.base, Const(-f.exponent.value))
-                s, p = _fmt(inv)
-                den_parts.append(_paren(s, p, _PREC_POW))
-            else:
-                s, p = _fmt(f)
-                num_parts.append(_paren(s, p, _PREC_POW))
-        if coeff is not None:
-            if isinstance(coeff, Fraction) and coeff.denominator != 1:
-                num_parts.insert(0, str(coeff.numerator))
-                den_parts.insert(0, str(coeff.denominator))
-            elif coeff != 1 or not (num_parts or den_parts):
-                s, _ = _fmt_const(coeff)
-                num_parts.insert(0, s)
-        if not num_parts:
-            num_parts = ["1"]
-        out = "*".join(num_parts)
-        if den_parts:
-            if len(den_parts) == 1 and "*" not in den_parts[0]:
-                out += f"/{den_parts[0]}"
-            else:
-                out += "/(" + "*".join(den_parts) + ")"
-        prec = _PREC_MUL
-        if negative:
-            out = "-" + out
-            prec = _PREC_NEG
-        return out, prec
-    if isinstance(e, Add):
-        first = True
-        out = ""
-        for t in e.terms:
-            s, p = _fmt(t)
-            if first:
-                out = _paren(s, p, _PREC_ADD)
-                first = False
-                continue
-            if s.startswith("-"):
-                out += " - " + s[1:]
-            else:
-                out += " + " + s
-        return out, _PREC_ADD
-    raise TypeError(type(e))
+def _raised(base: tuple[str, int], ex: Expr,
+            ex_text: str) -> tuple[str, int]:
+    # base^ex, from the base's (text, precedence) and the exponent's text
+    bs = _paren(*base, _PREC_ATOM)
+    if isinstance(ex, Const) and ex.is_rational and \
+            ex.value.denominator == 1 and ex.value >= 0:
+        return f"{bs}^{ex.value.numerator}", _PREC_POW
+    return f"{bs}^({ex_text})", _PREC_POW
+
+
+def _denominator(t: Expr, m: Mapping) -> str | None:
+    # a power with a negative rational exponent prints as 1/d: the text
+    # d of pow_(base, -exponent), read from the memo or built from the
+    # base's text; None for any other node
+    if not (isinstance(t, Pow) and isinstance(t.exponent, Const)
+            and t.exponent.is_rational and t.exponent.value < 0):
+        return None
+    inv = pow_(t.base, Const(-t.exponent.value))
+    text = m.get(inv)
+    if text is None and isinstance(inv, Const):
+        text = _fmt_const(inv.value)
+    elif text is None:
+        # pow_ kept it a power of t.base
+        ex = inv.exponent
+        text = _raised(m[t.base], ex, _fmt_const(ex.value)[0])
+    return _paren(*text, _PREC_POW)
+
+
+def _fmt_power(t: Pow, m: Mapping) -> tuple[str, int]:
+    den = _denominator(t, m)
+    if den is not None:
+        return f"1/{den}", _PREC_MUL
+    return _raised(m[t.base], t.exponent, m[t.exponent][0])
+
+
+def _fmt_product(t: Mul, m: Mapping) -> tuple[str, int]:
+    num_parts: list[str] = []
+    den_parts: list[str] = []
+    negative = False
+    coeff: Number | None = None
+    for f in t.factors:
+        if isinstance(f, Const):
+            v = f.value
+            if v < 0:
+                negative = not negative
+                v = -v
+            coeff = v if coeff is None else _const_mul(coeff, v)
+            continue
+        den = _denominator(f, m)
+        if den is None:
+            num_parts.append(_paren(*m[f], _PREC_POW))
+        else:
+            den_parts.append(den)
+    if coeff is not None:
+        if isinstance(coeff, Fraction) and coeff.denominator != 1:
+            num_parts.insert(0, str(coeff.numerator))
+            den_parts.insert(0, str(coeff.denominator))
+        elif coeff != 1 or not (num_parts or den_parts):
+            num_parts.insert(0, _fmt_const(coeff)[0])
+    out = "*".join(num_parts) if num_parts else "1"
+    if den_parts:
+        if len(den_parts) == 1 and "*" not in den_parts[0]:
+            out += f"/{den_parts[0]}"
+        else:
+            out += "/(" + "*".join(den_parts) + ")"
+    if negative:
+        return "-" + out, _PREC_NEG
+    return out, _PREC_MUL
+
+
+def _fmt_sum(t: Add, m: Mapping) -> tuple[str, int]:
+    parts = [_paren(*m[t.terms[0]], _PREC_ADD)]
+    for term in t.terms[1:]:
+        s = m[term][0]
+        parts.append(" - " + s[1:] if s.startswith("-") else " + " + s)
+    return "".join(parts), _PREC_ADD
+
+
+# each node's (text, precedence)
+_FORMAT_RULES = {
+    Const: lambda t, _: _fmt_const(t.value),
+    Sym: lambda t, _: (t.name, _PREC_ATOM),
+    Add: _fmt_sum, Mul: _fmt_product, Pow: _fmt_power,
+    Call: lambda t, m: (f"{t.fn}({m[t.arg][0]})", _PREC_ATOM),
+}
 
 
 def format_expr(e: Expr) -> str:
     """Render with minimal parentheses; parse(format_expr(e)) is
     evaluation-equivalent to e."""
-    return _fmt(e)[0]
+    return fold(e, _FORMAT_RULES, {})[0]
 
 
 # ---------------------------------------------------------------------
 # evaluation, differentiation and substitution: each is a table of rules
-# on `_fold`, completed per call by a rule for symbols
+# on `fold`, completed per call by a rule for symbols
 
 def _float_sum(t: Add, v: Mapping) -> float:
     try:
@@ -854,8 +864,8 @@ def evaluate(e: Expr | tuple[Expr, ...], env: Mapping[str, float]):
     violations (a function off its domain at a real point, division by
     zero) raise EvalError naming the offending subexpression; overflow
     saturates to inf and non-finite values propagate."""
-    return _fold(e, {**_FLOAT_RULES,
-                      Sym: lambda t, _: float(_bound(env, t))}, {})
+    return fold(e, {**_FLOAT_RULES,
+                     Sym: lambda t, _: float(_bound(env, t))}, {})
 
 
 def _iroot(n: int, q: int) -> int:
@@ -897,11 +907,10 @@ def _exact_bound(env: Mapping, t: Sym) -> Fraction:
 
 def _exact_power(t: Pow, v: Mapping) -> Fraction:
     b, x = v[t.base], v[t.exponent]
+    if b == 0 and x < 0:
+        raise EvalError("division by zero", t)
     if x.denominator == 1:
-        n = int(x)
-        if b == 0 and n < 0:
-            raise EvalError("division by zero", t)
-        return b ** n
+        return b ** int(x)
     return _exact_root(b, x.denominator) ** x.numerator
 
 
@@ -921,8 +930,8 @@ def evaluate_exact(e: Expr | tuple[Expr, ...],
     of values.  Raises ExactnessError whenever the value is not provably
     rational (a float constant, or a function at an argument where its
     table record has no exact value)."""
-    return _fold(e, {**_EXACT_RULES,
-                      Sym: lambda t, _: _exact_bound(env, t)}, {})
+    return fold(e, {**_EXACT_RULES,
+                     Sym: lambda t, _: _exact_bound(env, t)}, {})
 
 
 def _diff_product(t: Mul, d: Mapping) -> Expr:
@@ -959,7 +968,7 @@ _DIFF_RULES = {
 def diff(e: Expr, s: Union[str, Sym]) -> Expr:
     """Exact symbolic derivative with respect to one symbol."""
     name = s.name if isinstance(s, Sym) else s
-    return _fold(e, {**_DIFF_RULES, Sym: lambda t, _: (
+    return fold(e, {**_DIFF_RULES, Sym: lambda t, _: (
         ONE if t.name == name else ZERO)}, {})
 
 
@@ -977,8 +986,8 @@ def substitute_map(e: Expr, mapping: Mapping[str, object]) -> Expr:
     """Replace every occurrence of each mapped symbol, all at once (no
     binders, so replacement is capture-free by construction)."""
     repl = {k: con(v) for k, v in mapping.items()}
-    return _fold(e, {**_REBUILD_RULES,
-                      Sym: lambda t, _: repl.get(t.name, t)}, {})
+    return fold(e, {**_REBUILD_RULES,
+                     Sym: lambda t, _: repl.get(t.name, t)}, {})
 
 
 def free_symbols(e: Expr) -> frozenset[str]:
@@ -1031,127 +1040,111 @@ def _fold_constant(t: Expr) -> Expr:
         return t
 
 
+def _simp_sum(t: Add, memo: Mapping[Expr, Expr]) -> Expr:
+    const: Number = Fraction(0)
+    order: list[Expr] = []
+    buckets: dict[Expr, Number] = {}
+    for term in _flat([memo[x] for x in t.terms], Add):
+        if isinstance(term, Const):
+            const = _const_add(const, term.value)
+            continue
+        coeff, core = _term_split(term)
+        if core is None:
+            const = _const_add(const, coeff)
+            continue
+        if core in buckets:
+            buckets[core] = _const_add(buckets[core], coeff)
+        else:
+            buckets[core] = coeff
+            order.append(core)
+    terms: list[Expr] = []
+    if const != 0:
+        terms.append(Const(const))
+    for core in order:
+        cf = buckets[core]
+        if cf == 0:
+            continue
+        terms.append(core if cf == 1 else mul(Const(cf), core))
+    if not terms:
+        return Const(const)  # keeps exact 0 / float 0.0 distinction
+    if len(terms) == 1:
+        return terms[0]
+    return Add(tuple(terms))
+
+
+def _simp_product(t: Mul, memo: Mapping[Expr, Expr]) -> Expr:
+    coeff: Number = Fraction(1)
+    order: list[Expr] = []
+    exps: dict[Expr, Number] = {}
+    for f in _flat([memo[x] for x in t.factors], Mul):
+        if isinstance(f, Const):
+            coeff = _const_mul(coeff, f.value)
+            continue
+        if isinstance(f, Pow) and isinstance(f.exponent, Const) and \
+                f.exponent.is_rational:
+            base, ex = f.base, f.exponent.value
+        else:
+            base, ex = f, Fraction(1)
+        if base in exps:
+            exps[base] = exps[base] + ex
+        else:
+            exps[base] = ex
+            order.append(base)
+    if coeff == 0 and isinstance(coeff, Fraction):
+        return ZERO
+    factors = [_simp_power(base, Const(exps[base]))
+               for base in sorted(order, key=_order_key) if exps[base] != 0]
+    out: list[Expr] = []
+    for f in _flat(factors, Mul):  # folded powers may re-expose consts
+        if isinstance(f, Const):
+            coeff = _const_mul(coeff, f.value)
+        else:
+            out.append(f)
+    if coeff == 0 and isinstance(coeff, Fraction):
+        return ZERO
+    if not out:
+        return Const(coeff)
+    if coeff != 1:
+        out.insert(0, Const(coeff))
+    if len(out) == 1:
+        return out[0]
+    return Mul(tuple(out))
+
+
+def _simp_power(b: Expr, x: Expr) -> Expr:
+    # b^x of a simplified base and exponent.  pow_ folds exponents 0
+    # and 1, bases 0 and 1 and small integer powers of rationals;
+    # simplify adds the two folds below
+    if x is HALF and isinstance(b, Const) and b.is_rational:
+        return _fold_constant(pow_(b, x))
+    if isinstance(x, Const) and x.is_rational and \
+            x.value.denominator == 1 and isinstance(b, Pow) and \
+            isinstance(b.exponent, Const) and b.exponent.is_rational and \
+            b.exponent.value.denominator == 1:
+        return _simp_power(b.base, Const(b.exponent.value * x.value))
+    return pow_(b, x)
+
+
+def _simp_call(t: Call, memo: Mapping[Expr, Expr]) -> Expr:
+    out = call(t.fn, memo[t.arg])
+    return _fold_constant(out) if isinstance(out.arg, Const) else out
+
+
+# each node rewritten from its simplified operands
+_SIMPLIFY_RULES = {
+    Const: lambda t, _: t, Sym: lambda t, _: t,
+    Add: _simp_sum, Mul: _simp_product,
+    Pow: lambda t, s: _simp_power(s[t.base], s[t.exponent]),
+    Call: _simp_call,
+}
+
+
 def simplify(e: Expr) -> Expr:
     """Local rewriting to a stable fixed point: constant folding with
     exact rational arithmetic, flattening, like-term and like-factor
     collection, identity elimination.  Idempotent; never trig identities,
     never exact-to-float demotion."""
-    memo: dict[Expr, Expr] = {}
-
-    def walk(root: Expr) -> Expr:
-        # re-entered for nodes that _simp builds; the shared memo stops
-        # the new walk at every subtree already simplified
-        got = memo.get(root)
-        if got is not None:
-            return got
-        for t in postorder(root, memo):
-            r = _simp(t, memo, walk)
-            memo[t] = r
-            memo[r] = r
-        return memo[root]
-
-    return walk(e)
-
-
-def _simp(t: Expr, memo: Mapping[Expr, Expr], walk) -> Expr:
-    # one rewriting step; `memo` holds the simplified operands of `t`
-    if isinstance(t, (Const, Sym)):
-        return t
-
-    if isinstance(t, Add):
-        const: Number = Fraction(0)
-        order: list[Expr] = []
-        buckets: dict[Expr, Number] = {}
-        for term in _flat([memo[x] for x in t.terms], Add):
-            if isinstance(term, Const):
-                const = _const_add(const, term.value)
-                continue
-            coeff, core = _term_split(term)
-            if core is None:
-                const = _const_add(const, coeff)
-                continue
-            if core in buckets:
-                buckets[core] = _const_add(buckets[core], coeff)
-            else:
-                buckets[core] = coeff
-                order.append(core)
-        terms: list[Expr] = []
-        if const != 0:
-            terms.append(Const(const))
-        for core in order:
-            cf = buckets[core]
-            if cf == 0:
-                continue
-            terms.append(core if cf == 1 else mul(Const(cf), core))
-        if not terms:
-            return Const(const)  # keeps exact 0 / float 0.0 distinction
-        if len(terms) == 1:
-            return terms[0]
-        return Add(tuple(terms))
-
-    if isinstance(t, Mul):
-        coeff: Number = Fraction(1)
-        order: list[Expr] = []
-        exps: dict[Expr, Number] = {}
-        for f in _flat([memo[x] for x in t.factors], Mul):
-            if isinstance(f, Const):
-                coeff = _const_mul(coeff, f.value)
-                continue
-            if isinstance(f, Pow) and isinstance(f.exponent, Const) and \
-                    f.exponent.is_rational:
-                base, ex = f.base, f.exponent.value
-            else:
-                base, ex = f, Fraction(1)
-            if base in exps:
-                exps[base] = exps[base] + ex
-            else:
-                exps[base] = ex
-                order.append(base)
-        if coeff == 0 and isinstance(coeff, Fraction):
-            return ZERO
-        factors: list[Expr] = []
-        for base in sorted(order, key=_order_key):
-            ex = exps[base]
-            if ex == 0:
-                continue
-            factors.append(walk(pow_(base, Const(ex))))
-        out: list[Expr] = []
-        for f in _flat(factors, Mul):  # folded powers may re-expose consts
-            if isinstance(f, Const):
-                coeff = _const_mul(coeff, f.value)
-            else:
-                out.append(f)
-        if coeff == 0 and isinstance(coeff, Fraction):
-            return ZERO
-        if not out:
-            return Const(coeff)
-        if coeff != 1:
-            out.insert(0, Const(coeff))
-        if len(out) == 1:
-            return out[0]
-        return Mul(tuple(out))
-
-    if isinstance(t, Pow):
-        b = memo[t.base]
-        x = memo[t.exponent]
-        # pow_ folds exponents 0 and 1, bases 0 and 1 and small integer
-        # powers of rationals; simplify adds the two folds below
-        if isinstance(x, Const) and x.is_rational:
-            xv = x.value
-            if xv == Fraction(1, 2) and isinstance(b, Const) and b.is_rational:
-                return _fold_constant(pow_(b, x))
-            if isinstance(b, Pow) and isinstance(b.exponent, Const) and \
-                    b.exponent.is_rational and \
-                    b.exponent.value.denominator == 1 and \
-                    xv.denominator == 1:
-                return walk(pow_(b.base, Const(b.exponent.value * xv)))
-        return pow_(b, x)
-
-    if isinstance(t, Call):
-        out = call(t.fn, memo[t.arg])
-        return _fold_constant(out) if isinstance(out.arg, Const) else out
-
-    raise TypeError(type(t))
+    return fold(e, _SIMPLIFY_RULES, {})
 
 
 def _flat(items: Iterable[Expr], cls: type):
@@ -1236,7 +1229,7 @@ def _compile(e: Expr | tuple[Expr, ...],
         Call: lambda node, r: temp(
             _FUNCTION_TABLE[node.fn].numpy.format(r[node.arg])),
     }
-    out = _fold(e, rules, names)
+    out = fold(e, rules, names)
     result = f"({', '.join(out)},)" if isinstance(e, tuple) else out
     args = ", ".join(f"v_{v}" for v in variables)
     src = (

@@ -16,12 +16,13 @@ polynomials or reports that none exists.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .expr import (
-    Add, Call, Const, Expr, ExprError, Mul, Pow, Sym, add, con, mul,
-    postorder, pow_,
+    Add, Call, Const, Expr, ExprError, Mul, Pow, Sym, add, con, fold, mul,
+    pow_,
 )
 
 __all__ = [
@@ -81,48 +82,43 @@ def to_poly(e: Expr, variables: Sequence[str]) -> Poly:
     index = {name: i for i, name in enumerate(variables)}
     nv = len(variables)
     one_m = (0,) * nv
-    memo: dict[Expr, Poly] = {}
-    for t in postorder(e, memo):
-        if isinstance(t, Const):
-            if not t.is_rational:
-                raise NotPolynomial("float constant")
-            r = {one_m: t.value} if t.value else {}
-        elif isinstance(t, Sym):
-            if t.name not in index:
-                raise NotPolynomial(f"symbol '{t.name}' is not a declared "
-                                    "variable")
-            m = [0] * nv
-            m[index[t.name]] = 1
-            r = {tuple(m): Fraction(1)}
-        elif isinstance(t, Add):
-            r = {}
-            for term in t.terms:
-                r = poly_add(r, memo[term])
-        elif isinstance(t, Mul):
-            r = {one_m: Fraction(1)}
-            for f in t.factors:
-                r = poly_mul(r, memo[f])
-        elif isinstance(t, Pow):
-            ex = t.exponent
-            if not (isinstance(ex, Const) and ex.is_rational
-                    and ex.value.denominator == 1):
-                raise NotPolynomial("non-integer exponent")
-            n = int(ex.value)
-            base = memo[t.base]
-            if n < 0:
-                # only a nonzero constant may sit in a denominator
-                if len(base) == 1 and one_m in base:
-                    r = {one_m: base[one_m] ** n}
-                else:
-                    raise NotPolynomial("negative power of a non-constant")
-            else:
-                r = poly_pow(base, n, nv)
-        elif isinstance(t, Call):
-            raise NotPolynomial(f"function call {t.fn}")
-        else:
-            raise TypeError(type(t))
-        memo[t] = r
-    return memo[e]
+
+    def constant(t: Const, _) -> Poly:
+        if not t.is_rational:
+            raise NotPolynomial("float constant")
+        return {one_m: t.value} if t.value else {}
+
+    def symbol(t: Sym, _) -> Poly:
+        if t.name not in index:
+            raise NotPolynomial(f"symbol '{t.name}' is not a declared "
+                                "variable")
+        m = [0] * nv
+        m[index[t.name]] = 1
+        return {tuple(m): Fraction(1)}
+
+    def power(t: Pow, p: Mapping) -> Poly:
+        ex = t.exponent
+        if not (isinstance(ex, Const) and ex.is_rational
+                and ex.value.denominator == 1):
+            raise NotPolynomial("non-integer exponent")
+        n = int(ex.value)
+        base = p[t.base]
+        if n >= 0:
+            return poly_pow(base, n, nv)
+        # only a nonzero constant may sit in a denominator
+        if len(base) == 1 and one_m in base:
+            return {one_m: base[one_m] ** n}
+        raise NotPolynomial("negative power of a non-constant")
+
+    def fn_call(t: Call, _):
+        raise NotPolynomial(f"function call {t.fn}")
+
+    return fold(e, {
+        Const: constant, Sym: symbol, Pow: power, Call: fn_call,
+        Add: lambda t, p: reduce(poly_add, map(p.__getitem__, t.terms), {}),
+        Mul: lambda t, p: reduce(poly_mul, map(p.__getitem__, t.factors),
+                                 {one_m: Fraction(1)}),
+    }, {})
 
 
 def graded_lex_terms(p: Poly) -> list[tuple[tuple, Fraction]]:

@@ -28,6 +28,7 @@ from mdpv.expr import (
     free_symbols, log, parse, pointwise_equal, simplify, sin, sqrt,
     substitute_map, sym, tanh,
 )
+from mdpv.polytools import to_poly
 
 X = sym("x")
 
@@ -173,6 +174,19 @@ def test_format_examples():
     assert "/" in format_expr(e)  # negative powers print as denominators
 
 
+@pytest.mark.parametrize("e,text", [
+    # a denominator is printed as pow_ builds it, so its folds show
+    (Pow(Const(0), Const(-3)), "1/0"),
+    (Pow(Const(2), Const(-3)), "1/8"),
+    (Mul((Const(2), Pow(Const(3), Const(-2)), X)), "2*x/9"),
+    (Pow(Const(2), Const(-20)), "1/2^20"),
+    (parse("1/x^(3/2)"), "1/x^(3/2)"),
+    (parse("1/x^(y)"), "1/x^(y)"),
+])
+def test_format_negative_powers(e, text):
+    assert format_expr(e) == text
+
+
 def _round_trip_ok(e, lo=-2.3, hi=2.7, n=25, seed=7):
     text = format_expr(e)
     back = parse(text)
@@ -279,6 +293,12 @@ def test_evaluate_exact():
         evaluate_exact(parse("sin(1)"), {})
     with pytest.raises(ExactnessError):
         evaluate_exact(Const(0.5), {})
+
+
+@pytest.mark.parametrize("text", ["x^-3", "x^(-3/2)", "1/sqrt(x)"])
+def test_evaluate_exact_zero_to_a_negative_power(text):
+    with pytest.raises(EvalError, match="division by zero"):
+        evaluate_exact(parse(text), {"x": 0})
 
 
 # real points inside each function's domain, and its exact values as
@@ -626,21 +646,27 @@ def test_deep_chain_runs_every_walker():
     chain, copy = _chain(depth, X), _chain(depth, sym("x"))
     assert chain is copy  # interned: equal trees are one object
     assert depth > sys.getrecursionlimit()
-    # each comparison is named before its assert: a failing assert on
-    # the expression would render the tree with the recursive printer
-    same = chain == copy
-    assert same
-    differs = chain == _chain(depth, sym("y"))
-    assert not differs
+    assert chain == copy
+    assert chain != _chain(depth, sym("y"))
     assert free_symbols(chain) == {"x"}
-    moved = substitute_map(chain, {"x": sym("y")}) == _chain(depth, sym("y"))
-    assert moved
-    unchanged = simplify(chain) == copy
-    assert unchanged
+    assert substitute_map(chain, {"x": sym("y")}) == _chain(depth, sym("y"))
+    assert simplify(chain) == copy
     d, d_copy = diff(chain, "x"), diff(copy, "x")
-    same_d = d == d_copy
-    assert same_d
+    assert d == d_copy
     assert isinstance(d, Mul) and len(d.factors) == depth
+    text = "x"
+    for i in range(depth):
+        text = f"{'sin' if i % 2 else 'exp'}({text})"
+    assert format_expr(chain) == text
+    assert repr(chain) == f"<Expr {text}>"
+    with pytest.raises(EvalError) as ei:
+        evaluate(log(-1 - chain ** 2), {"x": 0.1})
+    assert str(ei.value) == f"log off its domain in `log(-1 - {text}^2)`"
+    p = X
+    for _ in range(depth):
+        p = E.add(E.mul(2, p), 1)
+    assert to_poly(p, ["x"]) == {(1,): Fraction(2 ** depth),
+                                 (0,): Fraction(2 ** depth - 1)}
     s = simplify(d)
     assert simplify(s) is s
     want = 0.5

@@ -47,7 +47,8 @@ def test_profile_gallery_writes_csv(tmp_path):
 
 
 @pytest.mark.parametrize("args", [["--seed", "-1"], ["--n", "-2"],
-                                  ["--window", "1,x"]])
+                                  ["--window", "1,x"], ["--b", "-1"],
+                                  ["--b", "nan"], ["--b", "1e300"]])
 def test_profile_gallery_refuses_bad_flags(tmp_path, args):
     out = run_script("profile_gallery.py", *args, cwd=tmp_path)
     assert out.returncode == 2
