@@ -17,8 +17,10 @@ systems:
   the derivative rule closes the algebra, and clearing phi^7 and
   collecting kernel powers gives the third system.
 
-All three routes differentiate u = num/den^k with one quotient-rule
-step, so every derivative stays a polynomial over a power of den.
+Each route's ansatz u = num/den^k has one record, `_ANSATZ[route]`, and
+one numerator, `_wave_numerator`, clears the evolution residual of all
+three: one quotient-rule step keeps every derivative a polynomial over a
+power of den.
 
 Each engine regenerates its system symbolically; family parameter
 maps substitute the catalog's closed-form parameters and must
@@ -34,19 +36,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    ExactnessError, Expr, Sym, add, con, cosh, diff, evaluate_exact, exp,
-    format_expr, log, mul, pow_, sinh, sqrt,
+    ExactnessError, Expr, add, con, diff, evaluate_exact, format_expr, mul,
+    pow_, sqrt, sym,
 )
 from . import polytools as pt
 from .catalog import method_tag
 
 __all__ = [
-    "AlgebraicSystem",
-    "cole_hopf_build", "cole_hopf_system",
-    "rational_hyperbolic_build", "rational_hyperbolic_system",
+    "AlgebraicSystem", "cole_hopf_system", "rational_hyperbolic_system",
     "balance_m", "BALANCE_PAIRS", "CHOSEN_DEGREE", "CLEARING_POWER",
-    "laurent_residual", "tanh_coth_system",
-    "system_for_family", "family_system_env", "draw_aux",
+    "tanh_coth_system", "system_for_family", "family_system_env",
+    "draw_aux",
 ]
 
 
@@ -206,162 +206,127 @@ def _quotient_step(num: Expr, k: int, op: Expr, den: Expr,
     return new, k + 1
 
 
-def _wave_numerator(num: Expr, k: int, op: Expr, den: Expr, var: str,
-                    lam: Expr, b: Expr) -> Expr:
-    """Wave ODE residual (b+1) U' U^2 - U U''' - lam U''' + lam U'
-    - b U' U'' of U = num / den^k, with d/dxi = op * d/dvar, times
-    den^m: U^(j) is a numerator over den^(k+j), so m = max(3k+1, 2k+3)
-    clears every term and leaves a polynomial."""
-    n1, k1 = _quotient_step(num, k, op, den, var)      # U'
-    n2, k2 = _quotient_step(n1, k1, op, den, var)      # U''
-    n3, k3 = _quotient_step(n2, k2, op, den, var)      # U'''
+def _wave_numerator(num: Expr, k: int, dx: Expr, dt: Expr, den: Expr,
+                    var: str, b: Expr) -> tuple[Expr, int]:
+    """Evolution residual u_t - u_xxt + (b+1) u^2 u_x - b u_x u_xx
+    - u u_xxx of u = num / den^k, with d/dx = dx * d/dvar and
+    d/dt = dt * d/dvar, times den^m; returns it with m.  An x-derivative
+    u^(j) is a numerator over den^(k+j), and u_t - u_xxt is one dt step
+    on u - u_xx = (num den^2 - n2) / den^(k+2), a numerator over
+    den^(k+3), so m = max(3k+1, 2k+3) clears every term and leaves a
+    polynomial."""
+    n1, k1 = _quotient_step(num, k, dx, den, var)      # u_x
+    n2, k2 = _quotient_step(n1, k1, dx, den, var)      # u_xx
+    n3, k3 = _quotient_step(n2, k2, dx, den, var)      # u_xxx
+    nt, kt = _quotient_step(add(mul(num, pow_(den, 2)), mul(con(-1), n2)),
+                            k2, dt, den, var)          # u_t - u_xxt
     m = max(3 * k + 1, 2 * k + 3)
     return add(
+        mul(nt, pow_(den, m - kt)),
         mul(add(b, con(1)), n1, num, num, pow_(den, m - 2 * k - k1)),
-        mul(con(-1), n3, num, pow_(den, m - k - k3)),
-        mul(con(-1), lam, n3, pow_(den, m - k3)),
-        mul(lam, n1, pow_(den, m - k1)),
         mul(con(-1), b, n1, n2, pow_(den, m - k1 - k2)),
-    )
+        mul(con(-1), n3, num, pow_(den, m - k - k3)),
+    ), m
 
 
 # ---------------------------------------------------------------------
-# route 1: exponential-kernel transformation
+# one record per route
 
-def cole_hopf_build(amplitude, background, wavenumber, speed, phase):
-    """Profile pair (log-derivative form, cosh form) in x and t.
-
-    The two are pointwise equal: the second x-derivative of
-    log(1 + e^theta) is e^theta/(1+e^theta)^2 = 1/(2(1+cosh theta)).
-    Amplitude, wavenumber, and speed must be nonzero when given
-    numerically.
-    """
-    for label, v in (("amplitude", amplitude), ("wavenumber", wavenumber),
-                     ("speed", speed)):
-        if not isinstance(v, Expr) and float(v) == 0.0:
-            raise ValueError(f"{label} must be nonzero")
-    A, B = con(amplitude), con(background)
-    mu, lam, delta = map(con, (wavenumber, speed, phase))
-    theta = add(mul(mu, Sym("x")), mul(lam, Sym("t")), delta)
-    log_form = add(mul(A, diff(diff(log(add(con(1), exp(theta))), "x"),
-                               "x")), B)
-    cosh_form = add(mul(A, pow_(mu, 2),
-                        pow_(mul(con(2), add(con(1), cosh(theta))), -1)),
-                    B)
-    return log_form, cosh_form
+CLEARING_POWER = 3 * CHOSEN_DEGREE + 1  # lowest/highest kernel power
 
 
-_CH_UNKNOWNS = ("amp", "bg", "mu", "lam")
-_CH_VARS = ("z",) + _CH_UNKNOWNS + ("b",)
+@dataclass(frozen=True)
+class _Ansatz:
+    """A route's ansatz u = num / den^k in the collection variable
+    `var`, where d/dx = dx * d/dvar and d/dt = dt * d/dvar.  Equations
+    lose the monomial factors of the `nonzero` unknowns and quote their
+    powers less `shift`; `variable` and `normalization` are the system's
+    texts, the latter with {m} for the clearing power."""
+
+    unknowns: tuple[str, ...]
+    var: str
+    num: Expr
+    k: int
+    den: Expr
+    dx: Expr
+    dt: Expr
+    nonzero: tuple[str, ...]
+    variable: str
+    normalization: str
+    shift: int = 0
+
+
+def _ansatz_table() -> dict[str, _Ansatz]:
+    z, phi, amp, bg, mu, lam, a0, a1, a2, c1, c2, alpha, beta, gamma = map(
+        sym, ("z", "phi", "amp", "bg", "mu", "lam", "a0", "a1", "a2", "c1",
+              "c2", "alpha", "beta", "gamma"))
+    kernel = alpha + beta * phi + gamma * phi ** 2
+    return {
+        # route 1: amp d^2/dx^2 log(1 + z) + bg, z = exp(mu x + lam t + d),
+        # is (amp mu^2 z + bg (1+z)^2)/(1+z)^2
+        "colehopf": _Ansatz(
+            ("amp", "bg", "mu", "lam"), "z",
+            amp * mu ** 2 * z + bg * (1 + z) ** 2, 2, 1 + z,
+            mu * z, lam * z, ("amp", "mu"), "exponential of the phase",
+            "multiplied by (1+z)^{m}; amp/mu monomial factors stripped "
+            "(both are nonzero by construction); rational content removed"),
+        # route 2: (a0 + a1 sinh + a2 cosh)/(1 + c1 sinh + c2 cosh) of
+        # xi = x + lam t, both scaled by 2 e^xi, in z = e^xi
+        "hyperbolic": _Ansatz(
+            ("lam", "a0", "a1", "a2", "c1", "c2"), "z",
+            (a1 + a2) * z ** 2 + 2 * a0 * z + a2 - a1, 1,
+            (c1 + c2) * z ** 2 + 2 * z + c2 - c1,
+            z, lam * z, (), "exponential of the wave variable",
+            "multiplied by denominator^{m} in the exponential variable; "
+            "common exponential powers dropped (collection variable is "
+            "nonvanishing); rational content removed"),
+        # route 3: a0 + a1 phi + a2 phi^2 + c1/phi + c2/phi^2 of
+        # xi = x + lam t, with phi' = alpha + beta phi + gamma phi^2
+        "tanhcoth": _Ansatz(
+            ("lam", "a0", "a1", "a2", "c1", "c2", "alpha", "beta", "gamma"),
+            "phi", c2 + c1 * phi + a0 * phi ** 2 + a1 * phi ** 3
+            + a2 * phi ** 4, 2, phi,
+            kernel, lam * kernel, (), "kernel function of the quadratic ODE",
+            "kernel powers collected directly from the Laurent residual; "
+            "powers quoted before the phi^{m} clearing shift; rational "
+            "content removed", CLEARING_POWER),
+    }
+
+
+# route, as catalog.ROUTES names it -> its ansatz
+_ANSATZ = _ansatz_table()
+
+
+def _route_system(route: str) -> AlgebraicSystem:
+    """The route's coefficient system, with b symbolic: its wave
+    numerator, collected in powers of its variable and normalized."""
+    a = _ANSATZ[route]
+    names = a.unknowns + ("b",)
+    total, m = _wave_numerator(a.num, a.k, a.dx, a.dt, a.den, a.var,
+                               sym("b"))
+    groups = _collect_powers(total, (a.var,) + names)
+    return _assemble_system(
+        a.variable, a.unknowns, {j - a.shift: g for j, g in groups.items()},
+        names, a.nonzero, a.normalization.format(m=m))
 
 
 @functools.cache
 def cole_hopf_system() -> AlgebraicSystem:
     """Coefficient system of the exponential-kernel route, collected in
-    the traveling exponential, with b symbolic."""
-    z, A, B, mu, lam, b = (Sym(s) for s in _CH_VARS)
-    w = add(con(1), z)
-    # u = (A mu^2 z + B (1+z)^2) / (1+z)^2 in z = exp(mu x + lam t + d),
-    # so d/dx = mu z d/dz and d/dt = lam z d/dz
-    dx, dt = mul(mu, z), mul(lam, z)
-    P0, k0 = add(mul(A, pow_(mu, 2), z), mul(B, pow_(w, 2))), 2     # u
-    P1, k1 = _quotient_step(P0, k0, dx, w, "z")        # u_x
-    P2, k2 = _quotient_step(P1, k1, dx, w, "z")        # u_xx
-    P3, k3 = _quotient_step(P2, k2, dx, w, "z")        # u_xxx
-    Pt, kt = _quotient_step(P0, k0, dt, w, "z")        # u_t
-    Pq, kq = _quotient_step(Pt, kt, dx, w, "z")
-    Pxxt, kxxt = _quotient_step(Pq, kq, dx, w, "z")    # u_xxt
-    # residual u_t - u_xxt + (b+1)u^2 u_x - b u_x u_xx - u u_xxx, each
-    # term a numerator over (1+z)^k, multiplied through by (1+z)^m
-    m = max(kxxt, 2 * k0 + k1, k1 + k2, k0 + k3)
-    total = add(
-        mul(Pt, pow_(w, m - kt)),
-        mul(con(-1), Pxxt, pow_(w, m - kxxt)),
-        mul(add(b, con(1)), P0, P0, P1, pow_(w, m - 2 * k0 - k1)),
-        mul(con(-1), b, P1, P2, pow_(w, m - k1 - k2)),
-        mul(con(-1), P0, P3, pow_(w, m - k0 - k3)),
-    )
-    groups = _collect_powers(total, _CH_VARS)
-    return _assemble_system(
-        "exponential of the phase", _CH_UNKNOWNS, groups,
-        _CH_VARS[1:], ("amp", "mu"),
-        f"multiplied by (1+z)^{m}; amp/mu monomial factors stripped "
-        "(both are nonzero by construction); rational content removed")
-
-
-# ---------------------------------------------------------------------
-# route 2: rational hyperbolic ansatz
-
-def rational_hyperbolic_build(a0, a1, a2, c1, c2, lam) -> Expr:
-    """(a0 + a1 sinh + a2 cosh)/(1 + c1 sinh + c2 cosh) of x + lam t."""
-    a0, a1, a2, c1, c2, lam = map(con, (a0, a1, a2, c1, c2, lam))
-    xi = add(Sym("x"), mul(lam, Sym("t")))
-    num = add(a0, mul(a1, sinh(xi)), mul(a2, cosh(xi)))
-    den = add(con(1), mul(c1, sinh(xi)), mul(c2, cosh(xi)))
-    return mul(num, pow_(den, -1))
-
-
-_HYP_UNKNOWNS = ("lam", "a0", "a1", "a2", "c1", "c2")
-_HYP_VARS = ("z",) + _HYP_UNKNOWNS + ("b",)
+    the traveling exponential."""
+    return _route_system("colehopf")
 
 
 @functools.cache
 def rational_hyperbolic_system() -> AlgebraicSystem:
     """Coefficient system of the rational hyperbolic route."""
-    z, lam, a0, a1, a2, c1, c2, b = (Sym(s) for s in _HYP_VARS)
-    # numerator and denominator scaled by 2 e^xi, in z = e^xi
-    P = add(mul(add(a1, a2), pow_(z, 2)), mul(con(2), a0, z),
-            add(a2, mul(con(-1), a1)))
-    Q = add(mul(add(c1, c2), pow_(z, 2)), mul(con(2), z),
-            add(c2, mul(con(-1), c1)))
-    # u = P / Q with d/dxi = z d/dz; the wave ODE residual times Q^5
-    total = _wave_numerator(P, 1, z, Q, "z", lam, b)
-    groups = _collect_powers(total, _HYP_VARS)
-    return _assemble_system(
-        "exponential of the wave variable", _HYP_UNKNOWNS,
-        groups, _HYP_VARS[1:], (),
-        "multiplied by denominator^5 in the exponential variable; "
-        "common exponential powers dropped (collection variable is "
-        "nonvanishing); rational content removed")
-
-
-# ---------------------------------------------------------------------
-# route 3: quadratic-ODE kernel expansion
-
-CLEARING_POWER = 3 * CHOSEN_DEGREE + 1  # lowest/highest kernel power
-
-
-def laurent_residual(a0, a1, a2, c1, c2, alpha, beta, gamma, lam,
-                     b) -> Expr:
-    """Wave ODE residual of u = a0 + a1 phi + a2 phi^2 + c1/phi
-    + c2/phi^2, multiplied by phi^CLEARING_POWER: a polynomial in the
-    kernel phi, whose derivative is alpha + beta phi + gamma phi^2."""
-    a0, a1, a2, c1, c2, alpha, beta, gamma, lam, b = map(
-        con, (a0, a1, a2, c1, c2, alpha, beta, gamma, lam, b))
-    phi = Sym("phi")
-    # u = P / phi^2, and d/dxi = (alpha + beta phi + gamma phi^2) d/dphi
-    P = add(c2, mul(c1, phi), mul(a0, pow_(phi, 2)), mul(a1, pow_(phi, 3)),
-            mul(a2, pow_(phi, 4)))
-    op = add(alpha, mul(beta, phi), mul(gamma, pow_(phi, 2)))
-    return _wave_numerator(P, 2, op, phi, "phi", lam, b)
-
-
-_TC_UNKNOWNS = ("lam", "a0", "a1", "a2", "c1", "c2", "alpha", "beta",
-                "gamma")
-_TC_VARS = _TC_UNKNOWNS + ("b",)
+    return _route_system("hyperbolic")
 
 
 @functools.cache
 def tanh_coth_system() -> AlgebraicSystem:
     """Coefficient system of the quadratic-ODE kernel route."""
-    cleared = laurent_residual(**{n: Sym(n) for n in _TC_VARS})
-    groups = _collect_powers(cleared, ("phi",) + _TC_VARS)
-    return _assemble_system(
-        "kernel function of the quadratic ODE", _TC_UNKNOWNS,
-        {j - CLEARING_POWER: g for j, g in groups.items()}, _TC_VARS, (),
-        "kernel powers collected directly from the Laurent residual; "
-        "powers quoted before the phi^7 clearing shift; rational "
-        "content removed")
+    return _route_system("tanhcoth")
 
 
 # ---------------------------------------------------------------------
@@ -379,22 +344,20 @@ def _sqrt_checked(v, what: str):
     return math.sqrt(v)
 
 
+def _route_env(route: str, b: float, *values) -> dict[str, float]:
+    return dict(zip(_ANSATZ[route].unknowns, values, strict=True), b=b)
+
+
+_hyp_env = functools.partial(_route_env, "hyperbolic")
+_tc_env = functools.partial(_route_env, "tanhcoth")
+
+
 def _ch_env(sign: int, b: float, mu: float) -> dict[str, float]:
     s = _sqrt_checked(1 - b * (b + 2) * (mu ** 4 - 1), "exponential map")
-    values = (-6 * (b + 2) / (b + 1),
-              (2 * mu ** 2 - 1 + b * (mu ** 2 - 1) + sign * s)
-              / (2 * (b + 1)),
-              mu,
-              -mu * (b + 1 - sign * s) / 2)
-    return dict(zip(_CH_UNKNOWNS, values, strict=True), b=b)
-
-
-def _hyp_env(b: float, *values) -> dict[str, float]:
-    return dict(zip(_HYP_UNKNOWNS, values, strict=True), b=b)
-
-
-def _tc_env(b: float, *values) -> dict[str, float]:
-    return dict(zip(_TC_UNKNOWNS, values, strict=True), b=b)
+    return _route_env(
+        "colehopf", b, -6 * (b + 2) / (b + 1),
+        (2 * mu ** 2 - 1 + b * (mu ** 2 - 1) + sign * s) / (2 * (b + 1)),
+        mu, -mu * (b + 1 - sign * s) / 2)
 
 
 def _env_u78(sign: int, b: float, a2: float) -> dict[str, float]:

@@ -24,15 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .expr import (
-    Add, Expr, compile_fn, con, diff, free_symbols, substitute_map, sym,
-)
+from .expr import Add, Expr, compile_fn, con, diff, free_symbols
 
 __all__ = [
     "EquationVariant", "modified_eq", "classic_eq", "VARIANTS",
-    "pde_residual", "ode_residual", "traveling_profile",
-    "within_tolerance", "ResidualReport", "scan", "find_zeros",
-    "distinct_points",
+    "pde_residual", "ode_residual", "within_tolerance", "ResidualReport",
+    "scan", "find_zeros", "distinct_points",
 ]
 
 # a scan's defaults: SCAN_N uniform points of SCAN_WINDOW, judged at
@@ -104,13 +101,6 @@ def ode_residual(U: Expr, eq: EquationVariant, lam) -> Expr:
     conv = U if eq.convection_power == 1 else U * U
     return ((b + 1) * conv * Up - Uppp * U - lam_e * Uppp
             + lam_e * Up - b * Up * Upp)
-
-
-def traveling_profile(U: Expr, lam) -> Expr:
-    """Substitute xi = x + lam*t, turning a profile into a candidate
-    solution of the evolution equation."""
-    lam_e = con(lam)
-    return substitute_map(U, {"xi": sym("x") + lam_e * sym("t")})
 
 
 def within_tolerance(max_abs: float, scale: float, tol: float) -> bool:

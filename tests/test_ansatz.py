@@ -4,7 +4,8 @@ Oracles: exact Fraction annihilation for rational parameter maps,
 seeded numeric annihilation for radical-bearing maps, frozen system
 structure (equation counts, collected powers, mirror degeneracies) and
 digests of the printed coefficients, the quotient-rule step checked
-against direct differentiation, and agreement between the phi^7-cleared
+against direct differentiation, each route's ansatz at a family's map
+against the catalog profile, and agreement between the phi^7-cleared
 kernel residual and the direct ODE residual — two independent
 computation paths.
 """
@@ -18,17 +19,18 @@ import numpy as np
 import pytest
 
 from mdpv.ansatz import (
-    BALANCE_PAIRS, CHOSEN_DEGREE, CLEARING_POWER, _SYSTEM_BUILDERS,
-    _assemble_system, _quotient_step, _term_value, balance_m, cole_hopf_build,
-    cole_hopf_system, draw_aux, family_system_env, laurent_residual,
-    rational_hyperbolic_build, rational_hyperbolic_system,
-    system_for_family, tanh_coth_system,
+    BALANCE_PAIRS, CHOSEN_DEGREE, CLEARING_POWER, _ANSATZ, _SYSTEM_BUILDERS,
+    _assemble_system, _quotient_step, _term_value, _wave_numerator,
+    balance_m, cole_hopf_system, draw_aux, family_system_env,
+    rational_hyperbolic_system, system_for_family, tanh_coth_system,
 )
-from mdpv.catalog import ROUTES, draw_params, family_ids, profile_with_values
+from mdpv.catalog import (
+    ROUTES, draw_params, family_ids, profile_with_values, speed_value,
+)
 from mdpv import polytools as pt
 from mdpv.expr import (
-    Add, Sym, add, con, diff, evaluate, free_symbols, mul, parse,
-    pointwise_equal, pow_,
+    Add, add, con, diff, evaluate, exp, free_symbols, log, mul, parse,
+    pointwise_equal, pow_, substitute_map, sym,
 )
 from mdpv.cli import B_LIST, SYSTEM_TOL
 from mdpv.residual import modified_eq, ode_residual, within_tolerance
@@ -53,51 +55,53 @@ def test_balance_degrees():
     assert len(BALANCE_PAIRS) == 3
 
 
-_TC_ARGS = ("a0", "a1", "a2", "c1", "c2", "alpha", "beta", "gamma", "lam",
-            "b")
+def _kernel_numerator(**values):
+    """Route 3's cleared wave numerator, a polynomial in phi, with
+    `values` substituted."""
+    a = _ANSATZ["tanhcoth"]
+    cleared, m = _wave_numerator(a.num, a.k, a.dx, a.dt, a.den, a.var,
+                                 sym("b"))
+    assert m == CLEARING_POWER
+    return substitute_map(cleared, values)
 
 
 def test_generic_laurent_span_matches_clearing_power():
-    cleared = laurent_residual(*(Sym(n) for n in _TC_ARGS))
+    names = ("phi",) + _ANSATZ["tanhcoth"].unknowns + ("b",)
     powers = {mono[0] - CLEARING_POWER
-              for mono in pt.to_poly(cleared, ("phi",) + _TC_ARGS)}
+              for mono in pt.to_poly(_kernel_numerator(), names)}
     assert powers == set(range(-CLEARING_POWER, CLEARING_POWER + 1))
 
 
 def test_constant_ansatz_residual_vanishes():
     # u = 2 under phi' = 1 - phi^2: every derivative of u is zero
-    cleared = laurent_residual(2, 0, 0, 0, 0, 1, 0, -1, -1, 3)
+    cleared = _kernel_numerator(a0=2, a1=0, a2=0, c1=0, c2=0, alpha=1,
+                                beta=0, gamma=-1, lam=-1, b=3)
     assert pt.to_poly(cleared, ("phi",)) == {}
 
 
 # ---------------------------------------------------------------------
 # the quotient-rule step shared by the three routes
 
-# (numerator, starting power, operator, denominator, variable) of each
-# route's first derivative
-_STEP_CASES = {
-    "colehopf": ("amp*mu^2*z + bg*(1 + z)^2", 2, "mu*z", "1 + z", "z"),
-    "hyperbolic": ("(a1 + a2)*z^2 + 2*a0*z + a2 - a1", 1, "z",
-                   "(c1 + c2)*z^2 + 2*z + c2 - c1", "z"),
-    "tanhcoth": ("c2 + c1*phi + a0*phi^2 + a1*phi^3 + a2*phi^4", 2,
-                 "alpha + beta*phi + gamma*phi^2", "phi", "phi"),
-}
-
-
-@pytest.mark.parametrize("route", sorted(_STEP_CASES))
+@pytest.mark.parametrize("route", sorted(_ANSATZ))
 def test_quotient_step_applies_the_operator(route):
-    num, k, op, den, var = _STEP_CASES[route]
-    num, op, den = parse(num), parse(op), parse(den)
-    # three steps, as each route takes for u', u'' and u'''
-    for _ in range(3):
-        new, k_new = _quotient_step(num, k, op, den, var)
+    a = _ANSATZ[route]
+
+    def step(num, k, op):
+        new, k_new = _quotient_step(num, k, op, a.den, a.var)
         assert k_new == k + 1
-        lhs = mul(new, pow_(den, -k_new))
-        rhs = mul(op, diff(mul(num, pow_(den, -k)), var))
+        lhs = mul(new, pow_(a.den, -k_new))
+        rhs = mul(op, diff(mul(num, pow_(a.den, -k)), a.var))
         names = free_symbols(lhs) | free_symbols(rhs)
         assert pointwise_equal(lhs, rhs, {n: (0.5, 1.5) for n in names}), \
             (route, k)
-        num, k = new, k_new
+        return new, k_new
+
+    # the three dx steps the wave numerator takes for u_x, u_xx and
+    # u_xxx, then a dt step
+    num, k = a.num, a.k
+    for _ in range(3):
+        num, k = step(num, k, a.dx)
+    step(a.num, a.k, a.dt)
 
 
 # ---------------------------------------------------------------------
@@ -122,6 +126,32 @@ def test_frozen_system_digest(build):
     text = json.dumps(build().dump())
     assert hashlib.sha256(text.encode()).hexdigest() == \
         _DUMP_DIGESTS[build.__name__]
+
+
+# (variable, normalization) of each system: `system-verify --json`
+# prints both, and the digests above hash only the coefficients
+_TEXTS = {
+    "colehopf": (
+        "exponential of the phase",
+        "multiplied by (1+z)^7; amp/mu monomial factors stripped (both are"
+        " nonzero by construction); rational content removed"),
+    "hyperbolic": (
+        "exponential of the wave variable",
+        "multiplied by denominator^5 in the exponential variable; common"
+        " exponential powers dropped (collection variable is"
+        " nonvanishing); rational content removed"),
+    "tanhcoth": (
+        "kernel function of the quadratic ODE",
+        "kernel powers collected directly from the Laurent residual;"
+        " powers quoted before the phi^7 clearing shift; rational content"
+        " removed"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_TEXTS))
+def test_system_texts(route):
+    S = _SYSTEM_BUILDERS[route]()
+    assert (S.variable, S.normalization) == _TEXTS[route]
 
 
 def test_exponential_route_structure():
@@ -221,55 +251,59 @@ def test_circulated_rows_2_and_4_reject_the_families():
 
 
 # ---------------------------------------------------------------------
-# profile builders
+# each route's ansatz at a family's map
 
-def test_exponential_build_forms_agree():
-    lf, cf = cole_hopf_build(1.0, 0.25, 0.8, -0.5, 0.3)
-    for x in np.linspace(-4, 4, 17):
-        for t in (0.0, 1.1):
-            v1 = evaluate(lf, {"x": float(x), "t": t})
-            v2 = evaluate(cf, {"x": float(x), "t": t})
-            assert abs(v1 - v2) <= 1e-12 * (1 + abs(v1))
-
-
-def test_exponential_build_known_value():
-    # second x-derivative of log(1+e^x) at 0 is 1/4
-    lf, cf = cole_hopf_build(1.0, 0.0, 1.0, -0.5, 0.0)
-    assert evaluate(lf, {"x": 0.0, "t": 0.0}) == pytest.approx(0.25,
-                                                               abs=1e-14)
-    assert evaluate(cf, {"x": 0.0, "t": 0.0}) == pytest.approx(0.25,
-                                                               abs=1e-14)
+def _route_profile(fid, env):
+    """(profile in xi, speed) of the family's route ansatz at env: z is
+    e^(mu xi) on route 1, whose phase moves at lam/mu, and e^xi on
+    route 2."""
+    a = _ANSATZ[ROUTES[fid]]
+    u = mul(a.num, pow_(a.den, -a.k))
+    mu = env.get("mu", 1.0)
+    return (substitute_map(u, {**env, a.var: exp(mu * sym("xi"))}),
+            env["lam"] / mu)
 
 
-@pytest.mark.parametrize("bad", [
-    dict(amplitude=0), dict(wavenumber=0), dict(speed=0),
-])
-def test_exponential_build_rejects_degenerate(bad):
-    kw = dict(amplitude=1.0, background=0.0, wavenumber=1.0, speed=-1.0,
-              phase=0.0)
-    kw.update(bad)
-    with pytest.raises(ValueError):
-        cole_hopf_build(**kw)
+def _is_catalog_wave(fid, b, params, env):
+    U, speed = _route_profile(fid, env)
+    want = profile_with_values(fid, b, params)
+    return (pointwise_equal(U, want, {"xi": (-4.0, 4.0)}, n=20)
+            and math.isclose(speed, speed_value(fid, b, params),
+                             rel_tol=1e-12, abs_tol=1e-12))
 
 
-def test_hyperbolic_build_matches_catalog_profile():
-    for b in (0.0, 1.0, 3.0):
-        env = family_system_env("u3", b, {})
-        built = rational_hyperbolic_build(
-            env["a0"], env["a1"], env["a2"], env["c1"], env["c2"],
-            env["lam"])
-        prof = profile_with_values("u3", b, {})
-        for x in (-3.0, 0.0, 1.7):
-            t = 0.6
-            xi = x + env["lam"] * t
-            v1 = evaluate(built, {"x": x, "t": t})
-            v2 = evaluate(prof, {"xi": xi})
-            assert abs(v1 - v2) <= 1e-12 * (1 + abs(v1))
+_SIBLING = {"u1": "u2", "u2": "u1", "u3": "u4", "u4": "u3", "u5": "u6",
+            "u6": "u5"}
 
 
-def test_hyperbolic_build_zero_numerator():
-    built = rational_hyperbolic_build(0, 0, 0, 0, 0, -1.0)
-    assert evaluate(built, {"x": 0.3, "t": 0.2}) == 0.0
+@pytest.mark.parametrize("fid", sorted(_SIBLING))
+def test_route_ansatz_at_map_is_catalog_profile(fid):
+    rng = np.random.default_rng(4000 + int(fid[1:]))
+    for b in B_GRID:
+        params = draw_params(fid, rng, b)
+        env = family_system_env(fid, b, params)
+        assert _is_catalog_wave(fid, b, params, env), (fid, b, params)
+        # the sibling's map is another wave
+        wrong = family_system_env(_SIBLING[fid], b, params)
+        assert not _is_catalog_wave(fid, b, params, wrong), (fid, b)
+
+
+def test_cole_hopf_identity_on_route_numerator():
+    # route 1's u at z = e^(mu x) is amp d^2/dx^2 log(1 + e^(mu x)) + bg
+    a = _ANSATZ["colehopf"]
+    z = exp(sym("mu") * sym("x"))
+    u = substitute_map(mul(a.num, pow_(a.den, -a.k)), {a.var: z})
+    log_form = add(mul(sym("amp"), diff(diff(log(1 + z), "x"), "x")),
+                   sym("bg"))
+    box = {"x": (-4.0, 4.0), "amp": (-2.0, 2.0), "bg": (-1.0, 1.0),
+           "mu": (0.3, 1.5)}
+    assert pointwise_equal(u, log_form, box)
+    # amp mu z in place of amp mu^2 z breaks it
+    assert not pointwise_equal(
+        substitute_map(u, {"amp": sym("amp") / sym("mu")}), log_form, box)
+    # the second x-derivative of log(1 + e^x) at 0 is 1/4
+    assert evaluate(u, {"x": 0.0, "amp": 1.0, "bg": 0.0, "mu": 1.0}) == \
+        pytest.approx(0.25, abs=1e-14)
 
 
 def test_mixed_family_instance_is_finite_at_origin():
@@ -277,11 +311,8 @@ def test_mixed_family_instance_is_finite_at_origin():
     assert env["a1"] == pytest.approx(-math.sqrt(3))
     assert env["c1"] == pytest.approx(-math.sqrt(3))
     assert env["c2"] == pytest.approx(2.0)
-    built = rational_hyperbolic_build(
-        env["a0"], env["a1"], env["a2"], env["c1"], env["c2"],
-        env["lam"])
-    v = evaluate(built, {"x": 0.0, "t": 0.0})
-    assert math.isfinite(v)
+    U, _ = _route_profile("u7", env)
+    assert math.isfinite(evaluate(U, {"xi": 0.0}))
 
 
 # ---------------------------------------------------------------------
@@ -483,8 +514,8 @@ def test_dual_route_agreement_random_coefficients():
         cs = {k: float(rng.uniform(-1, 1))
               for k in ("a0", "a1", "a2", "c1", "c2")}
         lam, b = float(rng.uniform(-2, 2)), float(rng.uniform(0, 3))
-        L = laurent_residual(cs["a0"], cs["a1"], cs["a2"], cs["c1"],
-                             cs["c2"], 1.0, 3.0, 1.0, lam, b)
+        L = _kernel_numerator(**cs, alpha=1.0, beta=3.0, gamma=1.0, lam=lam,
+                              b=b)
         U = _tanh_coth_profile({**cs}, phi)
         R = ode_residual(U, modified_eq(b), con(lam))
         checked = 0
@@ -509,9 +540,7 @@ def test_dual_route_agreement_per_family(fid):
     env = family_system_env(fid, b, params, aux)
     spec = RiccatiSpec(F(env["alpha"]), F(env["beta"]), F(env["gamma"]))
     phi = solution(spec).phi
-    L = laurent_residual(env["a0"], env["a1"], env["a2"], env["c1"],
-                         env["c2"], env["alpha"], env["beta"],
-                         env["gamma"], env["lam"], b)
+    L = _kernel_numerator(**env)
     U = _tanh_coth_profile(env, phi)
     R = ode_residual(U, modified_eq(b), con(env["lam"]))
     r_terms = R.terms if hasattr(R, "terms") else (R,)
