@@ -288,11 +288,16 @@ def test_route_ansatz_at_map_is_catalog_profile(fid):
         assert not _is_catalog_wave(fid, b, params, wrong), (fid, b)
 
 
-def test_cole_hopf_identity_on_route_numerator():
-    # route 1's u at z = e^(mu x) is amp d^2/dx^2 log(1 + e^(mu x)) + bg
+def _cole_hopf_route_u():
+    # route 1's u at z = e^(mu x)
     a = _ANSATZ["colehopf"]
     z = exp(sym("mu") * sym("x"))
-    u = substitute_map(mul(a.num, pow_(a.den, -a.k)), {a.var: z})
+    return substitute_map(mul(a.num, pow_(a.den, -a.k)), {a.var: z}), z
+
+
+def test_exponential_build_forms_agree():
+    # route 1's u is amp d^2/dx^2 log(1 + e^(mu x)) + bg
+    u, z = _cole_hopf_route_u()
     log_form = add(mul(sym("amp"), diff(diff(log(1 + z), "x"), "x")),
                    sym("bg"))
     box = {"x": (-4.0, 4.0), "amp": (-2.0, 2.0), "bg": (-1.0, 1.0),
@@ -301,6 +306,10 @@ def test_cole_hopf_identity_on_route_numerator():
     # amp mu z in place of amp mu^2 z breaks it
     assert not pointwise_equal(
         substitute_map(u, {"amp": sym("amp") / sym("mu")}), log_form, box)
+
+
+def test_exponential_build_known_value():
+    u, _ = _cole_hopf_route_u()
     # the second x-derivative of log(1 + e^x) at 0 is 1/4
     assert evaluate(u, {"x": 0.0, "amp": 1.0, "bg": 0.0, "mu": 1.0}) == \
         pytest.approx(0.25, abs=1e-14)
