@@ -17,10 +17,11 @@ systems:
   the derivative rule closes the algebra, and clearing phi^7 and
   collecting kernel powers gives the third system.
 
-Each route's ansatz u = num/den^k has one record, `_ANSATZ[route]`, and
-one numerator, `_wave_numerator`, clears the evolution residual of all
-three: one quotient-rule step keeps every derivative a polynomial over a
-power of den.
+Each route's ansatz u = num/den^k is a traveling wave with one record,
+`_ANSATZ[route]`, which names one derivative D = op * d/dvar: d/dx is
+scale * D and d/dt is lam * D.  One numerator, `_wave_numerator`,
+clears the evolution residual of all three from Du, D^2u and D^3u, each
+a polynomial over a power of den after one more quotient-rule step.
 
 Each engine regenerates its system symbolically; family parameter
 maps substitute the catalog's closed-form parameters and must
@@ -184,19 +185,6 @@ def _assemble_system(variable: str, unknowns: tuple[str, ...],
                            tuple(equations), normalization, tuple(terms))
 
 
-def _collect_powers(numerator: Expr, variables: tuple[str, ...],
-                    ) -> dict[int, pt.Poly]:
-    """Split a polynomial in variables[0] into per-power coefficient
-    polynomials over the remaining variables."""
-    whole = pt.to_poly(numerator, variables)
-    groups: dict[int, pt.Poly] = {}
-    for mono, c in whole.items():
-        j, rest = mono[0], mono[1:]
-        bucket = groups.setdefault(j, {})
-        bucket[rest] = bucket.get(rest, Fraction(0)) + c
-    return {j: {m: c for m, c in g.items() if c} for j, g in groups.items()}
-
-
 def _quotient_step(num: Expr, k: int, op: Expr, den: Expr,
                    var: str) -> tuple[Expr, int]:
     """Apply op * d/dvar to num / den^k by the quotient rule; the
@@ -206,26 +194,25 @@ def _quotient_step(num: Expr, k: int, op: Expr, den: Expr,
     return new, k + 1
 
 
-def _wave_numerator(num: Expr, k: int, dx: Expr, dt: Expr, den: Expr,
-                    var: str, b: Expr) -> tuple[Expr, int]:
+def _wave_numerator(a: _Ansatz) -> tuple[Expr, int]:
     """Evolution residual u_t - u_xxt + (b+1) u^2 u_x - b u_x u_xx
-    - u u_xxx of u = num / den^k, with d/dx = dx * d/dvar and
-    d/dt = dt * d/dvar, times den^m; returns it with m.  An x-derivative
-    u^(j) is a numerator over den^(k+j), and u_t - u_xxt is one dt step
-    on u - u_xx = (num den^2 - n2) / den^(k+2), a numerator over
-    den^(k+3), so m = max(3k+1, 2k+3) clears every term and leaves a
-    polynomial."""
-    n1, k1 = _quotient_step(num, k, dx, den, var)      # u_x
-    n2, k2 = _quotient_step(n1, k1, dx, den, var)      # u_xx
-    n3, k3 = _quotient_step(n2, k2, dx, den, var)      # u_xxx
-    nt, kt = _quotient_step(add(mul(num, pow_(den, 2)), mul(con(-1), n2)),
-                            k2, dt, den, var)          # u_t - u_xxt
+    - u u_xxx of the route's u = num / den^k, times den^m; returns it
+    with m.  As d/dx = s D and d/dt = lam D with s = scale, the residual
+    is lam (Du - s^2 D^3u) + (b+1) s u^2 Du - s^3 (b Du D^2u + u D^3u).
+    D^j u is a numerator over den^(k+j), so m = max(3k+1, 2k+3) clears
+    every term and leaves a polynomial."""
+    num, k, den, s = a.num, a.k, a.den, a.scale
+    n1, k1 = _quotient_step(num, k, a.op, den, a.var)    # Du
+    n2, k2 = _quotient_step(n1, k1, a.op, den, a.var)    # D^2u
+    n3, k3 = _quotient_step(n2, k2, a.op, den, a.var)    # D^3u
+    b, lam = sym("b"), sym("lam")
     m = max(3 * k + 1, 2 * k + 3)
     return add(
-        mul(nt, pow_(den, m - kt)),
-        mul(add(b, con(1)), n1, num, num, pow_(den, m - 2 * k - k1)),
-        mul(con(-1), b, n1, n2, pow_(den, m - k1 - k2)),
-        mul(con(-1), n3, num, pow_(den, m - k - k3)),
+        mul(lam, n1, pow_(den, m - k1)),
+        mul(con(-1), lam, pow_(s, 2), n3, pow_(den, m - k3)),
+        mul(add(b, con(1)), s, n1, num, num, pow_(den, m - 2 * k - k1)),
+        mul(con(-1), pow_(s, 3), b, n1, n2, pow_(den, m - k1 - k2)),
+        mul(con(-1), pow_(s, 3), n3, num, pow_(den, m - k - k3)),
     ), m
 
 
@@ -238,18 +225,19 @@ CLEARING_POWER = 3 * CHOSEN_DEGREE + 1  # lowest/highest kernel power
 @dataclass(frozen=True)
 class _Ansatz:
     """A route's ansatz u = num / den^k in the collection variable
-    `var`, where d/dx = dx * d/dvar and d/dt = dt * d/dvar.  Equations
-    lose the monomial factors of the `nonzero` unknowns and quote their
-    powers less `shift`; `variable` and `normalization` are the system's
-    texts, the latter with {m} for the clearing power."""
+    `var`, a traveling wave: with D = op * d/dvar, d/dx = scale * D and
+    d/dt = lam * D, so its speed is lam / scale.  Equations lose the
+    monomial factors of the `nonzero` unknowns and quote their powers
+    less `shift`; `variable` and `normalization` are the system's texts,
+    the latter with {m} for the clearing power."""
 
     unknowns: tuple[str, ...]
     var: str
     num: Expr
     k: int
     den: Expr
-    dx: Expr
-    dt: Expr
+    op: Expr
+    scale: Expr
     nonzero: tuple[str, ...]
     variable: str
     normalization: str
@@ -257,9 +245,9 @@ class _Ansatz:
 
 
 def _ansatz_table() -> dict[str, _Ansatz]:
-    z, phi, amp, bg, mu, lam, a0, a1, a2, c1, c2, alpha, beta, gamma = map(
-        sym, ("z", "phi", "amp", "bg", "mu", "lam", "a0", "a1", "a2", "c1",
-              "c2", "alpha", "beta", "gamma"))
+    z, phi, amp, bg, mu, a0, a1, a2, c1, c2, alpha, beta, gamma = map(
+        sym, ("z", "phi", "amp", "bg", "mu", "a0", "a1", "a2", "c1", "c2",
+              "alpha", "beta", "gamma"))
     kernel = alpha + beta * phi + gamma * phi ** 2
     return {
         # route 1: amp d^2/dx^2 log(1 + z) + bg, z = exp(mu x + lam t + d),
@@ -267,7 +255,7 @@ def _ansatz_table() -> dict[str, _Ansatz]:
         "colehopf": _Ansatz(
             ("amp", "bg", "mu", "lam"), "z",
             amp * mu ** 2 * z + bg * (1 + z) ** 2, 2, 1 + z,
-            mu * z, lam * z, ("amp", "mu"), "exponential of the phase",
+            z, mu, ("amp", "mu"), "exponential of the phase",
             "multiplied by (1+z)^{m}; amp/mu monomial factors stripped "
             "(both are nonzero by construction); rational content removed"),
         # route 2: (a0 + a1 sinh + a2 cosh)/(1 + c1 sinh + c2 cosh) of
@@ -276,7 +264,7 @@ def _ansatz_table() -> dict[str, _Ansatz]:
             ("lam", "a0", "a1", "a2", "c1", "c2"), "z",
             (a1 + a2) * z ** 2 + 2 * a0 * z + a2 - a1, 1,
             (c1 + c2) * z ** 2 + 2 * z + c2 - c1,
-            z, lam * z, (), "exponential of the wave variable",
+            z, con(1), (), "exponential of the wave variable",
             "multiplied by denominator^{m} in the exponential variable; "
             "common exponential powers dropped (collection variable is "
             "nonvanishing); rational content removed"),
@@ -286,7 +274,7 @@ def _ansatz_table() -> dict[str, _Ansatz]:
             ("lam", "a0", "a1", "a2", "c1", "c2", "alpha", "beta", "gamma"),
             "phi", c2 + c1 * phi + a0 * phi ** 2 + a1 * phi ** 3
             + a2 * phi ** 4, 2, phi,
-            kernel, lam * kernel, (), "kernel function of the quadratic ODE",
+            kernel, con(1), (), "kernel function of the quadratic ODE",
             "kernel powers collected directly from the Laurent residual; "
             "powers quoted before the phi^{m} clearing shift; rational "
             "content removed", CLEARING_POWER),
@@ -302,12 +290,13 @@ def _route_system(route: str) -> AlgebraicSystem:
     numerator, collected in powers of its variable and normalized."""
     a = _ANSATZ[route]
     names = a.unknowns + ("b",)
-    total, m = _wave_numerator(a.num, a.k, a.dx, a.dt, a.den, a.var,
-                               sym("b"))
-    groups = _collect_powers(total, (a.var,) + names)
-    return _assemble_system(
-        a.variable, a.unknowns, {j - a.shift: g for j, g in groups.items()},
-        names, a.nonzero, a.normalization.format(m=m))
+    total, m = _wave_numerator(a)
+    # each monomial of the numerator joins its power's group once
+    groups: dict[int, pt.Poly] = {}
+    for (j, *rest), c in pt.to_poly(total, (a.var,) + names).items():
+        groups.setdefault(j - a.shift, {})[tuple(rest)] = c
+    return _assemble_system(a.variable, a.unknowns, groups, names,
+                            a.nonzero, a.normalization.format(m=m))
 
 
 @functools.cache

@@ -4,10 +4,10 @@ Oracles: exact Fraction annihilation for rational parameter maps,
 seeded numeric annihilation for radical-bearing maps, frozen system
 structure (equation counts, collected powers, mirror degeneracies) and
 digests of the printed coefficients, the quotient-rule step checked
-against direct differentiation, each route's ansatz at a family's map
-against the catalog profile, and agreement between the phi^7-cleared
-kernel residual and the direct ODE residual — two independent
-computation paths.
+against direct differentiation, each family's route ansatz at its map
+against the catalog profile, and agreement between each route's
+cleared wave numerator and the direct ODE residual of its ansatz — two
+independent computation paths.
 """
 
 import hashlib
@@ -58,9 +58,7 @@ def test_balance_degrees():
 def _kernel_numerator(**values):
     """Route 3's cleared wave numerator, a polynomial in phi, with
     `values` substituted."""
-    a = _ANSATZ["tanhcoth"]
-    cleared, m = _wave_numerator(a.num, a.k, a.dx, a.dt, a.den, a.var,
-                                 sym("b"))
+    cleared, m = _wave_numerator(_ANSATZ["tanhcoth"])
     assert m == CLEARING_POWER
     return substitute_map(cleared, values)
 
@@ -96,12 +94,10 @@ def test_quotient_step_applies_the_operator(route):
             (route, k)
         return new, k_new
 
-    # the three dx steps the wave numerator takes for u_x, u_xx and
-    # u_xxx, then a dt step
+    # the three steps the wave numerator takes for Du, D^2u and D^3u
     num, k = a.num, a.k
     for _ in range(3):
-        num, k = step(num, k, a.dx)
-    step(a.num, a.k, a.dt)
+        num, k = step(num, k, a.op)
 
 
 # ---------------------------------------------------------------------
@@ -253,15 +249,24 @@ def test_circulated_rows_2_and_4_reject_the_families():
 # ---------------------------------------------------------------------
 # each route's ansatz at a family's map
 
-def _route_profile(fid, env):
-    """(profile in xi, speed) of the family's route ansatz at env: z is
-    e^(mu xi) on route 1, whose phase moves at lam/mu, and e^xi on
-    route 2."""
-    a = _ANSATZ[ROUTES[fid]]
+def _route_u(a, env):
+    """(u(xi), var(xi)) of the route ansatz `a` at env: d var/dxi is
+    scale * op, so z = e^(scale xi) on routes 1-2, and phi is the
+    Riccati solution of the kernel on route 3."""
+    if a.var == "z":
+        v = exp(mul(evaluate(a.scale, env), sym("xi")))
+    else:
+        v = solution(RiccatiSpec(env["alpha"], env["beta"],
+                                 env["gamma"])).phi
     u = mul(a.num, pow_(a.den, -a.k))
-    mu = env.get("mu", 1.0)
-    return (substitute_map(u, {**env, a.var: exp(mu * sym("xi"))}),
-            env["lam"] / mu)
+    return substitute_map(u, {**env, a.var: v}), v
+
+
+def _route_profile(fid, env):
+    """(profile in xi, speed) of the family's route ansatz at env: the
+    wave moves at lam / scale."""
+    a = _ANSATZ[ROUTES[fid]]
+    return _route_u(a, env)[0], env["lam"] / evaluate(a.scale, env)
 
 
 def _is_catalog_wave(fid, b, params, env):
@@ -272,20 +277,28 @@ def _is_catalog_wave(fid, b, params, env):
                              rel_tol=1e-12, abs_tol=1e-12))
 
 
-_SIBLING = {"u1": "u2", "u2": "u1", "u3": "u4", "u4": "u3", "u5": "u6",
-            "u6": "u5"}
+_PAIRS = (("u1", "u2"), ("u3", "u4"), ("u5", "u6"), ("u7", "u8"),
+          ("u9", "u10"), ("u12", "u13"), ("u14", "u15"), ("u16", "u18"),
+          ("u17", "u19"), ("u20", "u21"), ("u22", "u23"))
+_SIBLING = {f: g for pair in _PAIRS for f, g in (pair, pair[::-1])}
 
 
-@pytest.mark.parametrize("fid", sorted(_SIBLING))
+@pytest.mark.parametrize("fid", family_ids())
 def test_route_ansatz_at_map_is_catalog_profile(fid):
     rng = np.random.default_rng(4000 + int(fid[1:]))
+    level = "bg" if ROUTES[fid] == "colehopf" else "a0"
     for b in B_GRID:
         params = draw_params(fid, rng, b)
-        env = family_system_env(fid, b, params)
+        aux = draw_aux(fid, rng)
+        env = family_system_env(fid, b, params, aux)
         assert _is_catalog_wave(fid, b, params, env), (fid, b, params)
         # the sibling's map is another wave
-        wrong = family_system_env(_SIBLING[fid], b, params)
-        assert not _is_catalog_wave(fid, b, params, wrong), (fid, b)
+        if fid in _SIBLING:
+            wrong = family_system_env(_SIBLING[fid], b, params, aux)
+            assert not _is_catalog_wave(fid, b, params, wrong), (fid, b)
+        # and so is a level off by one part in a million
+        off = {**env, level: env[level] * (1 + 1e-6)}
+        assert not _is_catalog_wave(fid, b, params, off), (fid, b)
 
 
 def _cole_hopf_route_u():
@@ -515,29 +528,35 @@ def _tanh_coth_profile(env, phi):
                mul(con(env["c2"]), pow_(phi, -2)))
 
 
-def test_dual_route_agreement_random_coefficients():
+@pytest.mark.parametrize("route", sorted(_ANSATZ))
+def test_dual_route_agreement_random_coefficients(route):
+    # the cleared numerator over den^m at the route's z or phi is the ODE
+    # residual of the route's u(xi) at speed lam / scale
+    a = _ANSATZ[route]
+    cleared, m = _wave_numerator(a)
+    kernel = {"alpha": 1.0, "beta": 3.0, "gamma": 1.0}
     rng = np.random.default_rng(21)
-    spec = RiccatiSpec(F(1), F(3), F(1))
-    phi = solution(spec).phi
     for trial in range(5):
-        cs = {k: float(rng.uniform(-1, 1))
-              for k in ("a0", "a1", "a2", "c1", "c2")}
-        lam, b = float(rng.uniform(-2, 2)), float(rng.uniform(0, 3))
-        L = _kernel_numerator(**cs, alpha=1.0, beta=3.0, gamma=1.0, lam=lam,
-                              b=b)
-        U = _tanh_coth_profile({**cs}, phi)
-        R = ode_residual(U, modified_eq(b), con(lam))
+        env = {n: float(rng.uniform(-1, 1)) for n in a.unknowns
+               if n != "lam" and n not in kernel}
+        env.update({n: v for n, v in kernel.items() if n in a.unknowns},
+                   lam=float(rng.uniform(-2, 2)), b=float(rng.uniform(0, 3)))
+        U, v = _route_u(a, env)
+        speed = env["lam"] / evaluate(a.scale, env)
+        R = ode_residual(U, modified_eq(env["b"]), con(speed))
+        L, den = substitute_map((cleared, a.den), env)
         checked = 0
         for _ in range(40):
             xi = float(rng.uniform(-3, 3))
-            pv = evaluate(phi, {"xi": xi})
-            if not math.isfinite(pv) or not 0.05 < abs(pv) < 1e3:
+            at = {a.var: evaluate(v, {"xi": xi})}
+            dv = evaluate(den, at)
+            if not (abs(at[a.var]) < 1e3 and abs(dv) > 0.05):   # nan fails
                 continue
             vA = evaluate(R, {"xi": xi})
-            vB = evaluate(L, {"phi": pv}) / pv ** CLEARING_POWER
-            assert abs(vA - vB) <= 1e-9 * (1 + abs(vA)), (trial, xi)
+            vB = evaluate(L, at) / dv ** m
+            assert abs(vA - vB) <= 1e-9 * (1 + abs(vA)), (route, trial, xi)
             checked += 1
-        assert checked >= 10
+        assert checked >= 10, (route, trial)
 
 
 @pytest.mark.parametrize("fid", [f"u{i}" for i in range(11, 24)])

@@ -24,7 +24,7 @@ from mdpv.catalog import (
     speed_value, verify_family,
 )
 from mdpv.expr import evaluate, free_symbols, parse, simplify, substitute_map
-from mdpv.residual import classic_eq, modified_eq, ode_residual, scan
+from mdpv.residual import modified_eq, ode_residual, scan
 
 B_GRID = (0.0, 0.5, 1.0, 3.0)
 
@@ -260,7 +260,6 @@ def test_circulated_u10_rendering_fails_equation():
         R = ode_residual(U_bad, modified_eq(b), lam)
         # exclude poles of the bad rendering's own denominator
         from mdpv.residual import find_zeros
-        from mdpv.expr import Call
         # denominator zeros: scan the rendering's reciprocal structure
         excl = find_zeros(simplify(1 / U_bad), "xi", (-8, 8),
                           env={"c2": 1.6, "b": b})

@@ -1,5 +1,5 @@
-"""Lint with the standard library only: no module of the package or of
-`scripts/` imports a name it never uses.
+"""Lint with the standard library only: no module of the package, of
+`scripts/` or of `tests/` imports a name it never uses.
 
 A name counts as used where the module reads it, where a string
 annotation names it, or where `__all__` lists it.  `__future__` imports
@@ -13,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*(ROOT / "src" / "mdpv").glob("*.py"),
-                  *(ROOT / "scripts").glob("*.py")])
+                  *(ROOT / "scripts").glob("*.py"),
+                  *(ROOT / "tests").glob("*.py")])
 
 
 def _annotations(tree: ast.AST):

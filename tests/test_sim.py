@@ -13,9 +13,9 @@ from mdpv.catalog import FamilyInstance
 from mdpv.expr import compile_fn
 from mdpv.sim import (
     MAX_N, MAX_SNAPSHOT_POINTS, BlowUpError, Grid, InadmissibleFamilyError,
-    SimConfig, SimReport, SimState, _flux_hat, _operators, _PeakTracker,
-    _rk4, cfl_limit, flux_divergence, helmholtz_solve, rhs, run,
-    snapshot_steps, step_rk4, write_snapshots_csv,
+    SimConfig, SimState, _flux_hat, _operators, _PeakTracker, _rk4,
+    flux_divergence, helmholtz_solve, rhs, run, snapshot_steps, step_rk4,
+    write_snapshots_csv,
 )
 
 SCHEMES = ("spectral", "fd4")
