@@ -331,6 +331,17 @@ def test_u11_system_report_is_frozen(capsys):
         "25bfeed91a3085929a2aa5d54b701c6fd85d26c1d71d406092ada873aac1513b"
 
 
+def test_audit_report_is_frozen(capsys):
+    # every family's scans, each with its own stream per b, and its
+    # system checks, one stream across the b list, then the kernel
+    # table: the sha256 of the whole stdout, text and JSON, pins them
+    rc, out, _err = run_cli(capsys, ["audit", "--b", "0.5,3", "--draws",
+                                     "1", "--seed", "1", "--json"])
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b39c131633dfafbed3c0006b5be283c33fd48c709fb7c5cade476ca0e8d34689"
+
+
 def test_variant_choices_are_the_residual_table(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
@@ -757,10 +768,22 @@ def test_audit_failing_check_exits_3(capsys, monkeypatch, target):
     failed_scans = [r["family"] for r in doc["scans"] if not r["passed"]]
     failed_systems = [s["family"] for s in doc["systems"]
                       if not s["all_passed"]]
+    lines = out.splitlines()
+    failed = [i for i, line in enumerate(lines) if "FAILED" in line]
+    assert len(failed) == 1
+    # the failed row's own line, then its family's summary line
     if target == "scan":
         assert failed_scans == ["u5"] and failed_systems == []
+        assert lines[failed[0]:failed[0] + 2] == [
+            "  FAILED u5: u5 b=3: FAIL  max|R| = 4.101e-05"
+            "  scale = 7.059e+09  (254 pts, 3 excluded)",
+            "u5   1 scans FAIL, 1 system checks pass"]
     else:
         assert failed_scans == [] and failed_systems == ["u7"]
+        assert lines[failed[0]:failed[0] + 2] == [
+            "  FAILED u7: b=3 set 0: max|eq| = 1.555e+00"
+            "  scale = 1.652e+03  FAIL",
+            "u7   1 scans pass, 1 system checks FAIL"]
 
 
 def test_missing_subcommand_lists_every_command(capsys):
