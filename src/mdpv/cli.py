@@ -20,7 +20,9 @@ is written as null.  CSV files use shortest round-trip floats.
 Exit codes: 0 all requested checks passed; 1 usage error (a flag its
 argparse type refuses, such as a NaN or infinite number or a count
 past its budget; a flag the command refuses, such as a ``--perturb``
-name that is not a system unknown or a run past the step budget; an
+name that is not a system unknown or a run past the step budget; a
+``verify`` flag its target would ignore: ``--param`` without a single
+``--family``, ``--speed`` without ``--expr``, ``--draws`` with it; an
 output path that cannot be written, or a stdout closed by its reader
 before the output was written); 2 validity violation (excluded b,
 inadmissible or singular parameters, no admissible parameter draw at
@@ -40,7 +42,8 @@ import numbers
 import os
 import re
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 from . import __version__
 from .catalog import (
@@ -156,42 +159,38 @@ def _scan_fields(report: ResidualReport) -> dict:
     }
 
 
-def _manifest(command: str, seed: int, parameters: dict,
-              outputs: list[str]) -> dict:
-    return {
-        "command": command,
-        "seed": seed,
-        "version": __version__,
-        "parameters": parameters,
-        "outputs": outputs,
-    }
-
-
 def _unwritable(path: str, exc: OSError) -> UsageError:
     return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _emit_json(doc: dict, target: str | None) -> None:
-    if target is None:
+def _report(args, parameters: dict, body: dict) -> None:
+    """Write the JSON report that `--json` asks for, if any: the run
+    manifest (the command, seed, version, `parameters` and the files
+    written), then `body`."""
+    if args.json is None:
         return
-    text = render_json(doc) + "\n"
-    if target == "-":
+    outputs = [] if args.json == "-" else [args.json]
+    if getattr(args, "csv", None):
+        outputs.append(args.csv)
+    text = render_json({"manifest": {
+        "command": args.cmd,
+        "seed": args.seed,
+        "version": __version__,
+        "parameters": parameters,
+        "outputs": outputs,
+    }, **body}) + "\n"
+    if args.json == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(target, "w", encoding="utf-8") as fh:
+        with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _unwritable(target, exc) from None
+        raise _unwritable(args.json, exc) from None
 
 
-def _json_outputs(args) -> list[str]:
-    paths = []
-    if getattr(args, "json", None) not in (None, "-"):
-        paths.append(args.json)
-    if getattr(args, "csv", None):
-        paths.append(args.csv)
-    return paths
+def _exit(passed: bool) -> int:
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------
@@ -294,8 +293,9 @@ def _provided(fid: str, pairs) -> dict[str, float]:
     return provided
 
 
-def _resolve_param_sets(fid: str, b: float, provided: dict[str, float],
-                        rng, draws: int) -> list[dict[str, float]]:
+def _resolve_param_sets(fid: str, b: float,
+                        provided: dict[str, float] | None, rng,
+                        draws: int) -> list[dict[str, float]]:
     """The explicit values, if admissible (`_provided` checked their
     names); else `draws` admissible sets from `rng`, or one empty set."""
     names = family(fid).parameters
@@ -334,12 +334,7 @@ def cmd_list(args) -> int:
             _print(f"{row['family_id']:4} {row['method']:10}"
                    f" {row['wave_speed']:26} {pnames}")
         _print(f"{len(rows)} families")
-    doc = {
-        "manifest": _manifest("list", args.seed, {"count": len(rows)},
-                              _json_outputs(args)),
-        "families": rows,
-    }
-    _emit_json(doc, args.json)
+    _report(args, {"count": len(rows)}, {"families": rows})
     return EXIT_OK
 
 
@@ -356,8 +351,8 @@ def _verify_expression(args) -> int:
         raise UsageError(f"--expr may use xi and b only;"
                          f" found {sorted(stray)}")
     _valid_b(args.b)
-    residual = ode_residual(profile, VARIANTS[args.variant](args.b),
-                            args.speed)
+    speed = 0.0 if args.speed is None else args.speed
+    residual = ode_residual(profile, VARIANTS[args.variant](args.b), speed)
     if "xi" in free_symbols(residual):
         report = scan(residual, {"b": args.b}, window=args.window, n=args.n,
                       tol=args.tol)
@@ -372,76 +367,77 @@ def _verify_expression(args) -> int:
         else:
             report = ResidualReport(value, 1, 0, args.tol, value)
     _print(report.line(f"expr[{args.expr}] b={args.b:g} {args.variant}"))
-    doc = {
-        "manifest": _manifest("verify", args.seed, {
-            "expr": args.expr,
-            "speed": args.speed,
-            "b": args.b,
-            "variant": args.variant,
-            "window": list(args.window),
-            "n": args.n,
-            "tol": args.tol,
-        }, _json_outputs(args)),
+    _report(args, {
+        "expr": args.expr,
+        "speed": speed,
+        "b": args.b,
+        "variant": args.variant,
+        "window": list(args.window),
+        "n": args.n,
+        "tol": args.tol,
+    }, {
         "results": [{"expr": args.expr, "b": args.b,
                      **_scan_fields(report)}],
         "all_passed": report.passed,
-    }
-    _emit_json(doc, args.json)
-    return EXIT_OK if report.passed else EXIT_FAIL
+    })
+    return _exit(report.passed)
 
 
-def _scan_rows(fid: str, b: float, provided: dict[str, float],
-               rng, draws: int,
-               window: tuple[float, float], n: int, tol: float,
-               variant: str):
-    """Residual scans of one family at one b: yields a report row and
-    its text line per parameter set."""
-    for params in _resolve_param_sets(fid, b, provided, rng, draws):
-        report = verify_family(fid, b, params, window=window, n=n,
-                               tol=tol, variant=variant)
-        shown = ", ".join(f"{k}={v:g}" for k, v in params.items())
-        label = f"{fid} b={b:g}" + (f" [{shown}]" if shown else "")
-        yield ({"family": fid, "b": b, "params": params,
-                **_scan_fields(report)}, report.line(label))
+def _scan_rows(fid: str, b_values: list[float], seed: int, draws: int,
+               provided: dict[str, float] | None = None,
+               window: tuple[float, float] = SCAN_WINDOW, n: int = SCAN_N,
+               tol: float = SCAN_TOL, variant: str = "mdp"):
+    """Residual scans of one family: yields a report row and its text
+    line per parameter set.  Each b draws from a fresh stream, so its
+    rows are those of `verify --b` at that b alone."""
+    for b in b_values:
+        for params in _resolve_param_sets(fid, b, provided,
+                                          family_rng(seed, fid), draws):
+            report = verify_family(fid, b, params, window=window, n=n,
+                                   tol=tol, variant=variant)
+            shown = ", ".join(f"{k}={v:g}" for k, v in params.items())
+            label = f"{fid} b={b:g}" + (f" [{shown}]" if shown else "")
+            yield ({"family": fid, "b": b, "params": params,
+                    **_scan_fields(report)}, report.line(label))
 
 
 def cmd_verify(args) -> int:
+    # a flag that the target would ignore is refused, not dropped
+    if args.param and args.family in (None, "all"):
+        raise UsageError("--param requires a single --family")
+    if args.expr is None and args.speed is not None:
+        raise UsageError("--speed applies to --expr only")
+    if args.expr is not None and args.draws is not None:
+        raise UsageError("--draws does not apply to --expr")
     if args.expr is not None:
         return _verify_expression(args)
 
     target = args.family or "all"
-    if args.param and target == "all":
-        raise UsageError("--param requires a single --family")
     provided = _provided(target, args.param)
     _valid_b(args.b)
+    draws = args.draws or 1
 
     results = []
     for fid in family_ids() if target == "all" else [target]:
-        for row, line in _scan_rows(fid, args.b, provided,
-                                    family_rng(args.seed, fid),
-                                    args.draws, args.window, args.n,
+        for row, line in _scan_rows(fid, [args.b], args.seed, draws,
+                                    provided, args.window, args.n,
                                     args.tol, args.variant):
             _print(line)
             results.append(row)
     all_passed = all(row["passed"] for row in results)
     _print(f"{'all passed' if all_passed else 'FAILURES'}"
            f" ({len(results)} scans)")
-    doc = {
-        "manifest": _manifest("verify", args.seed, {
-            "family": target,
-            "b": args.b,
-            "variant": args.variant,
-            "params": provided,
-            "window": list(args.window),
-            "n": args.n,
-            "tol": args.tol,
-            "draws": args.draws,
-        }, _json_outputs(args)),
-        "results": results,
-        "all_passed": all_passed,
-    }
-    _emit_json(doc, args.json)
-    return EXIT_OK if all_passed else EXIT_FAIL
+    _report(args, {
+        "family": target,
+        "b": args.b,
+        "variant": args.variant,
+        "params": provided,
+        "window": list(args.window),
+        "n": args.n,
+        "tol": args.tol,
+        "draws": draws,
+    }, {"results": results, "all_passed": all_passed})
+    return _exit(all_passed)
 
 
 # ---------------------------------------------------------------------
@@ -483,26 +479,25 @@ def _riccati_table() -> list[dict]:
 def cmd_riccati_audit(args) -> int:
     rows = _riccati_table()
     corrected_ok = all(r["corrected_passes"] for r in rows)
-    doc = {
-        "manifest": _manifest("riccati-audit", args.seed, {},
-                              _json_outputs(args)),
-        "rows": rows,
-        "all_corrected_pass": corrected_ok,
-    }
-    _emit_json(doc, args.json)
-    return EXIT_OK if corrected_ok else EXIT_FAIL
+    _report(args, {}, {"rows": rows, "all_corrected_pass": corrected_ok})
+    return _exit(corrected_ok)
 
 
 # ---------------------------------------------------------------------
 # system-verify
 
-def _system_rows(fid: str, system, b_values: list[float],
-                 provided: dict[str, float], perturb: dict[str, float],
-                 rng, draws: int, tol: float):
-    """Evaluate the route's system at each parameter set of one family,
-    all b values drawn from one `rng`: yields a check row and its text
-    line per set."""
-    from .ansatz import draw_aux, family_system_env
+def _system_rows(fid: str, b_values: list[float], seed: int, draws: int,
+                 provided: dict[str, float] | None = None,
+                 perturb: dict[str, float] | None = None,
+                 tol: float = SYSTEM_TOL):
+    """Evaluate the route's system at each parameter set of one family:
+    yields a check row and its text line per set.  Every b draws from
+    one stream, its parameter sets and then each set's free kernel
+    coefficient, as `system-verify --b LIST` does."""
+    from .ansatz import draw_aux, family_system_env, system_for_family
+    system = system_for_family(fid)
+    perturb = perturb or {}
+    rng = family_rng(seed, fid)
     for b in b_values:
         for i, params in enumerate(_resolve_param_sets(fid, b, provided,
                                                        rng, draws)):
@@ -549,23 +544,21 @@ def cmd_system_verify(args) -> int:
            f" {system.variable} ({route} route,"
            f" {len(system.distinct)} distinct)")
     checks = []
-    for row, line in _system_rows(fid, system, args.b, provided, perturb,
-                                  family_rng(args.seed, fid), args.draws,
-                                  args.tol):
+    for row, line in _system_rows(fid, args.b, args.seed, args.draws,
+                                  provided, perturb, args.tol):
         _print(line)
         checks.append(row)
     all_passed = all(row["passed"] for row in checks)
     _print("system annihilated" if all_passed else "system VIOLATED")
-    doc = {
-        "manifest": _manifest("system-verify", args.seed, {
-            "method": args.method,
-            "family": fid,
-            "b": args.b,
-            "draws": args.draws,
-            "tol": args.tol,
-            "params": provided,
-            "perturb": perturb,
-        }, _json_outputs(args)),
+    _report(args, {
+        "method": args.method,
+        "family": fid,
+        "b": args.b,
+        "draws": args.draws,
+        "tol": args.tol,
+        "params": provided,
+        "perturb": perturb,
+    }, {
         "method": args.method,
         "family": fid,
         "variable": system.variable,
@@ -575,60 +568,63 @@ def cmd_system_verify(args) -> int:
                       for row in system.dump()],
         "checks": checks,
         "all_passed": all_passed,
-    }
-    _emit_json(doc, args.json)
-    return EXIT_OK if all_passed else EXIT_FAIL
+    })
+    return _exit(all_passed)
 
 
 # ---------------------------------------------------------------------
 # audit
 
+class _Check(NamedTuple):
+    """A per-family check of `audit`, run at its command's defaults."""
+    key: str            # its list in the report
+    noun: str           # what its rows are called in the summary line
+    rows: Callable      # (fid, b values, seed, draws) -> (row, line)s
+    entries: Callable   # (fid, rows, all passed) -> its list's entries
+
+
+_AUDIT_CHECKS = (
+    _Check("scans", "scans", _scan_rows, lambda fid, rows, passed: rows),
+    _Check("systems", "system checks", _system_rows,
+           lambda fid, rows, passed: [{
+               "family": fid, "method": method_tag(fid), "checks": rows,
+               "all_passed": passed}]),
+)
+
+
 def cmd_audit(args) -> int:
-    from .ansatz import system_for_family
     _valid_b(*args.b)
-    scans, systems, failures = [], [], 0
+    report = {check.key: [] for check in _AUDIT_CHECKS}
+    failures = 0
     for fid in family_ids():
-        # the scans draw a fresh stream per (family, b), as `verify --b B`
-        # does; the system checks one stream across the b list, as
-        # `system-verify --b LIST` does
-        rows = [pair for b in args.b for pair in _scan_rows(
-            fid, b, {}, family_rng(args.seed, fid), args.draws,
-            SCAN_WINDOW, SCAN_N, SCAN_TOL, "mdp")]
-        checks = list(_system_rows(fid, system_for_family(fid), args.b,
-                                   {}, {}, family_rng(args.seed, fid),
-                                   args.draws, SYSTEM_TOL))
-        for row, line in rows + checks:
-            if not row["passed"]:
-                failures += 1
+        # every check of a family runs before any of its lines prints
+        runs = [(check, list(check.rows(fid, args.b, args.seed,
+                                        args.draws)))
+                for check in _AUDIT_CHECKS]
+        summary = []
+        for check, pairs in runs:
+            failed = [line for row, line in pairs if not row["passed"]]
+            for line in failed:
                 _print(f"  FAILED {fid}: {line.strip()}")
-        verdicts = ["pass" if all(row["passed"] for row, _ in pairs)
-                    else "FAIL" for pairs in (rows, checks)]
-        _print(f"{fid:4} {len(rows)} scans {verdicts[0]},"
-               f" {len(checks)} system checks {verdicts[1]}")
-        scans += [row for row, _ in rows]
-        systems.append({"family": fid, "method": method_tag(fid),
-                        "checks": [row for row, _ in checks],
-                        "all_passed": verdicts[1] == "pass"})
+            failures += len(failed)
+            summary.append(f"{len(pairs)} {check.noun}"
+                           f" {'FAIL' if failed else 'pass'}")
+            report[check.key] += check.entries(
+                fid, [row for row, _ in pairs], not failed)
+        _print(f"{fid:4} {', '.join(summary)}")
     riccati = _riccati_table()
     failures += sum(not row["corrected_passes"] for row in riccati)
     _print("ALL CHECKS PASSED" if not failures else f"{failures} FAILURES")
-    doc = {
-        "manifest": _manifest("audit", args.seed, {
-            "b": args.b,
-            "draws": args.draws,
-            "variant": "mdp",
-            "window": list(SCAN_WINDOW),
-            "n": SCAN_N,
-            "scan_tol": SCAN_TOL,
-            "system_tol": SYSTEM_TOL,
-        }, _json_outputs(args)),
-        "scans": scans,
-        "systems": systems,
-        "riccati": riccati,
-        "all_passed": not failures,
-    }
-    _emit_json(doc, args.json)
-    return EXIT_OK if not failures else EXIT_FAIL
+    _report(args, {
+        "b": args.b,
+        "draws": args.draws,
+        "variant": "mdp",
+        "window": list(SCAN_WINDOW),
+        "n": SCAN_N,
+        "scan_tol": SCAN_TOL,
+        "system_tol": SYSTEM_TOL,
+    }, {**report, "riccati": riccati, "all_passed": not failures})
+    return _exit(not failures)
 
 
 # ---------------------------------------------------------------------
@@ -667,22 +663,18 @@ def cmd_simulate(args) -> int:
         except OSError as exc:
             raise _unwritable(args.csv, exc) from None
         _print(f"snapshots -> {args.csv}")
-    doc = {
-        "manifest": _manifest("simulate", args.seed, {
-            "family": fid,
-            "b": args.b,
-            "params": params,
-            "N": args.N,
-            "L": args.L,
-            "dt": args.dt,
-            "T": args.T,
-            "scheme": args.scheme,
-            "snapshots": args.snapshots,
-            "blowup_threshold": args.blowup_threshold,
-        }, _json_outputs(args)),
-        "summary": summary,
-    }
-    _emit_json(doc, args.json)
+    _report(args, {
+        "family": fid,
+        "b": args.b,
+        "params": params,
+        "N": args.N,
+        "L": args.L,
+        "dt": args.dt,
+        "T": args.T,
+        "scheme": args.scheme,
+        "snapshots": args.snapshots,
+        "blowup_threshold": args.blowup_threshold,
+    }, {"summary": summary})
     return EXIT_OK
 
 
@@ -728,13 +720,13 @@ def build_parser() -> argparse.ArgumentParser:
                         " none)")
     p.add_argument("--variant", choices=tuple(VARIANTS), default="mdp",
                    help="equation variant to scan against")
-    p.add_argument("--speed", type=_finite_float, default=0.0,
+    p.add_argument("--speed", type=_finite_float, default=None,
                    help="wave speed for --expr (default 0)")
     p.add_argument("--window", type=_window, default=SCAN_WINDOW,
                    metavar="A,B")
     p.add_argument("--n", type=_integer(1, MAX_SCAN_N), default=SCAN_N)
     p.add_argument("--tol", type=_tolerance, default=SCAN_TOL)
-    p.add_argument("--draws", type=_integer(1, MAX_DRAWS), default=1,
+    p.add_argument("--draws", type=_integer(1, MAX_DRAWS), default=None,
                    help="seeded parameter draws per family (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -129,6 +129,10 @@ def test_render_json_rejects_nonfinite():
     ["verify", "--expr", "b", "--b", "3", "--tol=-1e-3", "--json"],
     ["system-verify", "--method", "hyperbolic", "--family", "u3",
      "--tol=-1"],
+    # a verify flag that its target would ignore
+    ["verify", "--family", "u3", "--b", "3", "--speed", "2"],
+    ["verify", "--expr", "xi", "--b", "3", "--param", "a=1"],
+    ["verify", "--expr", "xi", "--b", "3", "--draws", "5"],
 ])
 def test_usage_errors(capsys, argv):
     rc, _out, err = run_cli(capsys, argv)
@@ -155,6 +159,8 @@ def test_usage_errors(capsys, argv):
      "--snapshots", "1000001"],
     ["simulate", "--family", "u1", "--param", "mu=0", "--T", "500",
      "--snapshots", "1000001"],
+    ["verify", "--family", "u3", "--b", "-1", "--speed", "2"],
+    ["verify", "--expr", "xi", "--b", "-1", "--draws", "1"],
 ])
 def test_usage_error_comes_before_validity_error(capsys, argv):
     # each argv also has an excluded b or inadmissible parameters,
