@@ -605,7 +605,9 @@ def cmd_audit(args) -> int:
         for check, pairs in runs:
             failed = [line for row, line in pairs if not row["passed"]]
             for line in failed:
-                _print(f"  FAILED {fid}: {line.strip()}")
+                # a scan's line opens with its own "fid b=" label
+                rest = line.strip().removeprefix(f"{fid} ")
+                _print(f"  FAILED {fid}: {rest}")
             failures += len(failed)
             summary.append(f"{len(pairs)} {check.noun}"
                            f" {'FAIL' if failed else 'pass'}")

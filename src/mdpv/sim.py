@@ -23,6 +23,14 @@ together, builds the flux from products, and makes one forward call
 followed by a multiply by the symbol of d/dx and the Helmholtz inverse,
 so two transform calls per stage.  Only the step's increment returns
 to the grid.
+A step allocates its stage spectrum and the flux's work row once, and
+runs every product and sum of its stages in place, with the operands
+in the order of the expressions they replace: numpy's SIMD loops for
+complex products may use fused multiply-adds, which can round a*d + b*c
+differently once the operands swap, so keeping the order keeps every
+state bitwise the same whichever factors happen to have a zero part.
+What it writes into is its own: the state it is given is never
+changed.
 A run's time axis is checked when its SimConfig is made, the snapshot
 budget by `snapshot_steps`, a step-size guard at run start, and a
 blow-up sentinel, which also catches a stage that overflows, every step.
@@ -219,28 +227,50 @@ def _operators(grid: Grid, scheme: str):
     return ops
 
 
-def _flux_hat(u_hat: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-              n: int, b: float) -> np.ndarray:
-    """rfft coefficients of the flux -(b+1)u^3/3 + u u_xx + (b-1)u_x^2/2
-    from those of u, for the symbols d1, d2 of an n-point grid: times
-    d1 they give the flux divergence, times the stage symbol
-    d1 / (1 - d2) they give u_t.
-
-    The rows u_hat, d1*u_hat and d2*u_hat of one (3, n//2+1) array go
-    through a single irfft call, bitwise the same as three calls
-    without their per-call overhead, and one rfft call brings the flux
-    back.  The flux is built from products only: u ** 3 calls the C
-    library's pow on every element, which costs as much as the rest of
-    a stage.
-    """
+def _workspace(u_hat: np.ndarray,
+               n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays `_flux_hat` writes into on an n-point grid: a
+    (3, n//2+1) complex spectrum whose row 0 holds a copy of the stage
+    input u_hat, and a row of n floats for the flux."""
     spec = np.empty((3, u_hat.size), dtype=complex)
     spec[0] = u_hat
-    np.multiply(d1, u_hat, out=spec[1])
-    np.multiply(d2, u_hat, out=spec[2])
-    u, ux, uxx = np.fft.irfft(spec, n, axis=-1)
-    f = (-(b + 1.0) / 3.0 * u) * (u * u) + u * uxx \
-        + 0.5 * (b - 1.0) * ux * ux
-    return np.fft.rfft(f)
+    return spec, np.empty(n)
+
+
+def _flux_hat(spec: np.ndarray, work: np.ndarray, d1: np.ndarray,
+              d2: np.ndarray, b: float) -> np.ndarray:
+    """rfft coefficients of the flux -(b+1)u^3/3 + u u_xx + (b-1)u_x^2/2
+    of the field whose coefficients the caller wrote into row 0 of spec,
+    for the symbols d1, d2 of an n-point grid, n = work.size: times d1
+    they give the flux divergence, times the stage symbol d1 / (1 - d2)
+    they give u_t.
+
+    Rows 1 and 2 of spec are overwritten with d1*u_hat and d2*u_hat, and
+    the three rows go through a single irfft call, bitwise the same as
+    three calls without their per-call overhead.  The flux is built from
+    products only, since u ** 3 calls the C library's pow on every
+    element, which costs as much as the rest of a stage, and in place:
+    ((c3*v)*(v*v) + v*v_xx) + (cx*v_x)*v_x, c3 = -(b+1)/3 and
+    cx = (b-1)/2, goes into the irfft's rows and the work row, each
+    product and sum with the operands, in the order, of the expression
+    it replaces (the complex products round differently if swapped; see
+    the module docstring).  So the arrays the two transforms return are
+    all a stage allocates; spec and work are the caller's, made once
+    per step.
+    """
+    n = work.size
+    np.multiply(d1, spec[0], out=spec[1])
+    np.multiply(d2, spec[0], out=spec[2])
+    v, vx, vxx = np.fft.irfft(spec, n, axis=-1)
+    np.multiply(-(b + 1.0) / 3.0, v, out=work)
+    np.multiply(v, vxx, out=vxx)
+    np.multiply(v, v, out=v)
+    np.multiply(work, v, out=work)
+    np.add(work, vxx, out=work)
+    np.multiply(0.5 * (b - 1.0), vx, out=v)
+    np.multiply(v, vx, out=v)
+    np.add(work, v, out=work)
+    return np.fft.rfft(work)
 
 
 def helmholtz_solve(f: np.ndarray, grid: Grid,
@@ -264,8 +294,8 @@ def flux_divergence(u: np.ndarray, cfg: SimConfig,
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite input state")
     d1, d2 = _operators(grid, cfg.scheme)[:2]
-    return np.fft.irfft(
-        d1 * _flux_hat(np.fft.rfft(u), d1, d2, grid.n, cfg.b), grid.n)
+    spec, work = _workspace(np.fft.rfft(u), grid.n)
+    return np.fft.irfft(d1 * _flux_hat(spec, work, d1, d2, cfg.b), grid.n)
 
 
 def rhs(u: np.ndarray, cfg: SimConfig, grid: Grid) -> np.ndarray:
@@ -273,8 +303,9 @@ def rhs(u: np.ndarray, cfg: SimConfig, grid: Grid) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite input state")
     d1, d2, _helmholtz, stage = _operators(grid, cfg.scheme)
-    return np.fft.irfft(
-        stage * _flux_hat(np.fft.rfft(u), d1, d2, grid.n, cfg.b), grid.n)
+    spec, work = _workspace(np.fft.rfft(u), grid.n)
+    return np.fft.irfft(stage * _flux_hat(spec, work, d1, d2, cfg.b),
+                        grid.n)
 
 
 # ---------------------------------------------------------------------
@@ -288,17 +319,36 @@ def _rk4(u: np.ndarray, dt: float, cfg: SimConfig,
     The stages run on rfft coefficients, each one batched inverse call
     and one forward call, with the symbols looked up once per step;
     only the increment returns to the grid, so dt = 0 gives back u
-    exactly.
+    exactly, as a new array: nothing passed in is written.
+
+    The stage spectrum and the flux's work row are allocated once per
+    step, and each stage writes its input u_hat + h*k straight into
+    row 0 of the spectrum; the stage products and the sum
+    ((k1 + 2 k2) + 2 k3) + k4, scaled by dt/6, are taken in place in
+    the arrays the rffts return.  Each in-place op keeps the operands,
+    and their order, of the expression it replaces, so every state is
+    bitwise what the expression gives.
     """
     d1, d2, _helmholtz, stage = _operators(grid, cfg.scheme)
-    n, b = grid.n, cfg.b
     u_hat = np.fft.rfft(u)
-    k1 = stage * _flux_hat(u_hat, d1, d2, n, b)
-    k2 = stage * _flux_hat(u_hat + 0.5 * dt * k1, d1, d2, n, b)
-    k3 = stage * _flux_hat(u_hat + 0.5 * dt * k2, d1, d2, n, b)
-    k4 = stage * _flux_hat(u_hat + dt * k3, d1, d2, n, b)
-    return u + np.fft.irfft((dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                            n)
+    spec, work = _workspace(u_hat, grid.n)
+    ks = []
+    for h in (0.5 * dt, 0.5 * dt, dt, None):
+        k = _flux_hat(spec, work, d1, d2, cfg.b)
+        np.multiply(stage, k, out=k)
+        ks.append(k)
+        if h is not None:
+            np.multiply(h, k, out=spec[0])
+            np.add(u_hat, spec[0], out=spec[0])
+    k1, k2, k3, k4 = ks
+    np.multiply(2.0, k2, out=k2)
+    np.add(k1, k2, out=k1)
+    np.multiply(2.0, k3, out=k3)
+    np.add(k1, k3, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(dt / 6.0, k1, out=k1)
+    step = np.fft.irfft(k1, grid.n)
+    return np.add(u, step, out=step)
 
 
 def step_rk4(state: SimState, cfg: SimConfig, grid: Grid) -> SimState:
@@ -311,7 +361,7 @@ def step_rk4(state: SimState, cfg: SimConfig, grid: Grid) -> SimState:
     # grid's length
     with np.errstate(all="ignore"):
         u2 = _rk4(state.u, cfg.dt, cfg, grid)
-        peak = float(np.max(np.abs(u2)))
+        peak = float(np.abs(u2).max())
     t2 = state.t + cfg.dt
     if not peak <= cfg.blowup_threshold:
         raise BlowUpError(t2, peak)
@@ -326,7 +376,7 @@ class _PeakTracker:
     unwrapped across the periodic seam."""
 
     def __init__(self, grid: Grid, reference: float):
-        self._x = grid.nodes()
+        self._x = grid.nodes().tolist()
         self._dx = grid.dx
         self._length = grid.length
         self._ref = reference
@@ -337,9 +387,10 @@ class _PeakTracker:
 
     def record(self, state: SimState) -> None:
         u = state.u
-        j = int(np.argmax(np.abs(u - self._ref)))
+        dev = np.subtract(u, self._ref)
+        j = int(np.abs(dev, out=dev).argmax())
         n = u.size
-        um, u0, up = u[(j - 1) % n], u[j], u[(j + 1) % n]
+        um, u0, up = u.item((j - 1) % n), u.item(j), u.item((j + 1) % n)
         curv = um - 2.0 * u0 + up
         delta = 0.5 * (um - up) / curv if abs(curv) > 1e-300 else 0.0
         raw = self._x[j] + delta * self._dx

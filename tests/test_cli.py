@@ -781,7 +781,7 @@ def test_audit_failing_check_exits_3(capsys, monkeypatch, target):
     if target == "scan":
         assert failed_scans == ["u5"] and failed_systems == []
         assert lines[failed[0]:failed[0] + 2] == [
-            "  FAILED u5: u5 b=3: FAIL  max|R| = 4.101e-05"
+            "  FAILED u5: b=3: FAIL  max|R| = 4.101e-05"
             "  scale = 7.059e+09  (254 pts, 3 excluded)",
             "u5   1 scans FAIL, 1 system checks pass"]
     else:

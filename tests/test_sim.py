@@ -14,8 +14,8 @@ from mdpv.expr import compile_fn
 from mdpv.sim import (
     MAX_N, MAX_SNAPSHOT_POINTS, BlowUpError, Grid, InadmissibleFamilyError,
     SimConfig, SimState, _flux_hat, _operators, _PeakTracker, _rk4,
-    flux_divergence, helmholtz_solve, rhs, run, snapshot_steps, step_rk4,
-    write_snapshots_csv,
+    _workspace, flux_divergence, helmholtz_solve, rhs, run, snapshot_steps,
+    step_rk4, write_snapshots_csv,
 )
 
 SCHEMES = ("spectral", "fd4")
@@ -294,7 +294,8 @@ def test_stages_match_the_seven_transform_reference(scheme, n):
         # shows only here
         ref_hat = np.fft.rfft(ref)
         d1, d2, _helmholtz, stage_symbol = _operators(g, scheme)
-        stage = stage_symbol * _flux_hat(np.fft.rfft(u), d1, d2, g.n, b)
+        spec, work = _workspace(np.fft.rfft(u), g.n)
+        stage = stage_symbol * _flux_hat(spec, work, d1, d2, b)
         assert np.max(np.abs(stage - ref_hat)) \
             <= 1e-13 * np.max(np.abs(ref_hat))
         ref_step = _rk4_reference(u, cfg.dt, cfg, g)
@@ -420,6 +421,38 @@ def test_step_nan_stage_is_a_blow_up():
             step_rk4(s, cfg, g)
     assert err.value.t == pytest.approx(1e-3)
     assert math.isnan(err.value.peak)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_kernel_writes_into_no_array_it_was_given(scheme):
+    # the stages run in place, but only in arrays of their own: the
+    # state and the field passed in come back bitwise unchanged, and
+    # each step is a new array, at either sign of dt and at dt = 0
+    g = Grid(128, 20.0)
+    u0 = _profile_fn(_u6())(g.nodes())
+    cfg = SimConfig(b=3.0, dt=1e-3, t_final=1.0, scheme=scheme)
+    s = SimState.of(0.0, u0.copy(), g)
+    s2 = step_rk4(s, cfg, g)
+    assert np.array_equal(s.u, u0)
+    assert not np.shares_memory(s2.u, s.u)
+    for dt in (cfg.dt, -cfg.dt, 0.0):
+        u = u0.copy()
+        assert not np.shares_memory(_rk4(u, dt, cfg, g), u)
+        assert np.array_equal(u, u0)
+    for field_of in (rhs, flux_divergence):
+        u = u0.copy()
+        field_of(u, cfg, g)
+        assert np.array_equal(u, u0)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_keeps_the_initial_profile_as_its_first_snapshot(scheme):
+    inst = _u6()
+    g = Grid(128, 40.0)
+    rep = run(inst, SimConfig(b=3.0, dt=1e-3, t_final=0.05, scheme=scheme),
+              g)
+    assert np.array_equal(rep.snapshots[0].u_numeric,
+                          _profile_fn(inst)(g.nodes()))
 
 
 def test_time_reversal_returns_initial_data():
